@@ -37,12 +37,12 @@ print("sampling 5k target + 5k nontarget trials from the model...")
 embeddings, trials, key = make_benchmark(model, priors, 5000, 5000, seed=1)
 
 session = precompute_session(model, priors)
-scores = score_trials(session, embeddings, embeddings, trials, threads=4)
+scores = score_trials(session, embeddings, embeddings, trials)
 full = ScoredTrials(scores, key)
 
 baseline_model = collapse_to_plda(model)
 baseline_session = precompute_session(baseline_model, PriorConfig.uniform(0))
-baseline_scores = score_trials(baseline_session, embeddings, embeddings, trials, threads=4)
+baseline_scores = score_trials(baseline_session, embeddings, embeddings, trials)
 baseline = ScoredTrials(baseline_scores, key)
 
 print(f"\nEER, full model          : {eer(full) * 100:6.2f} %")
@@ -58,6 +58,6 @@ soft = ModelParams(
 )
 soft_priors = PriorConfig((0.7,), (0.3,))
 emb2, trials2, key2 = make_benchmark(soft, soft_priors, 0, 50_000, seed=2)
-soft_scores = score_trials(precompute_session(soft, soft_priors), emb2, emb2, trials2, threads=4)
+soft_scores = score_trials(precompute_session(soft, soft_priors), emb2, emb2, trials2)
 cal = calibration_identity(ScoredTrials(soft_scores, key2))
 print(f"\nmean exp(LLR) over 50k nontargets, matched soft model: {cal:.4f} (expect ~1)")

@@ -56,7 +56,6 @@ with tempfile.TemporaryDirectory() as tmp:
         "--trials", tmp / "trials.tsv",
         "--priors", tmp / "priors.cfg",
         "--out", tmp / "scores.tsv",
-        "--threads", "4",
     )
     first = (tmp / "scores.tsv").read_text().splitlines()[0]
     print(f"first score row: {first}\n")

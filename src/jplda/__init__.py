@@ -24,6 +24,7 @@ from .errors import (
     MalformedFile,
     MissingClass,
     ModelFileError,
+    NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
     OrphanLatent,
@@ -36,13 +37,12 @@ from .hypothesis import (
     HypothesisVector,
     Partition,
     PriorConfig,
-    build_p_matrix,
     enumerate_condition_hypotheses,
     hypothesis_log_prior,
     partition_factors,
 )
 from .metrics import ScoredTrials, calibration_identity, eer
-from .model import ModelParams, StackedModel, collapse_to_plda, stack_w, validate
+from .model import ModelParams, collapse_to_plda, stack_w, validate
 from .scoring import (
     HypothesisFactorization,
     PosteriorMoments,
@@ -77,6 +77,7 @@ __all__ = [
     "MissingClass",
     "ModelFileError",
     "ModelParams",
+    "NonFinite",
     "NotPositiveDefinite",
     "NotSymmetric",
     "OrphanLatent",
@@ -85,14 +86,12 @@ __all__ = [
     "PriorConfig",
     "ScoredTrials",
     "ScoringSession",
-    "StackedModel",
     "SyntheticDataset",
     "TruncatedPayload",
     "UnknownId",
     "ValidationFailed",
     "VersionUnsupported",
     "build_k_sum",
-    "build_p_matrix",
     "calibration_identity",
     "collapse_to_plda",
     "compute_phi",

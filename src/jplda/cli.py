@@ -6,6 +6,7 @@ prior (AllHypothesesExcluded).
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -37,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", required=True)
     p.add_argument("--priors", required=True)
     p.add_argument("--out", required=True, help="score file to write")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("synth", help="sample a labeled dataset from a model")
     p.add_argument("--model", required=True)
@@ -64,12 +64,13 @@ def _cmd_score(args) -> int:
     model = io.load_model(args.model)
     priors = io.load_priors(args.priors)
     enroll = io.load_embeddings(args.enroll)
-    test = io.load_embeddings(args.test)
+    if os.path.realpath(args.test) == os.path.realpath(args.enroll):
+        test = enroll
+    else:
+        test = io.load_embeddings(args.test)
     trials = [(e, t) for e, t, _ in io.load_trials(args.trials)]
-    if args.threads < 1:
-        raise JpldaError("--threads must be >= 1")
     session = scoring.precompute_session(model, priors)
-    scores = scoring.score_trials(session, enroll, test, trials, threads=args.threads)
+    scores = scoring.score_trials(session, enroll, test, trials)
     io.save_scores(args.out, trials, scores)
     return 0
 

@@ -9,6 +9,11 @@ class DimensionMismatch(JpldaError):
     """Model matrices disagree on a shared dimension."""
 
 
+class NonFinite(JpldaError):
+    """A model parameter or an input vector holds a NaN or an infinity, or a
+    score is NaN."""
+
+
 class NotSymmetric(JpldaError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 

@@ -21,7 +21,6 @@ __all__ = [
     "enumerate_condition_hypotheses",
     "hypothesis_log_prior",
     "partition_factors",
-    "build_p_matrix",
 ]
 
 
@@ -76,26 +75,29 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class Partition:
-    """Factor matrices split into tied and untied sides for one hypothesis.
+    """Stacked factor columns split into tied and untied sides for one hypothesis.
 
     Attributes:
-      w_s: columns of the tied factors, shape (d, n_s).
-      w_d: columns of the untied factors, shape (d, n_d).
       tied_slots / untied_slots: block names ("speaker", "condition_1",
         ...) in the fixed convention order: speaker first, then
         conditions ascending.
       tied_cols / untied_cols: the corresponding column indices into the
-        stacked matrix [V | U_1 | ... | U_N].
+        stacked matrix W = [V | U_1 | ... | U_N]; W[:, tied_cols] is
+        W_S and W[:, untied_cols] is W_D.
     """
 
-    w_s: np.ndarray
-    w_d: np.ndarray
-    n_s: int
-    n_d: int
     tied_slots: tuple
     untied_slots: tuple
     tied_cols: np.ndarray
     untied_cols: np.ndarray
+
+    @property
+    def n_s(self) -> int:
+        return len(self.tied_cols)
+
+    @property
+    def n_d(self) -> int:
+        return len(self.untied_cols)
 
 
 def enumerate_condition_hypotheses(n_conditions: int) -> list:
@@ -146,7 +148,7 @@ def _block_layout(model: ModelParams) -> list:
 
 
 def partition_factors(model: ModelParams, h: HypothesisVector) -> Partition:
-    """Split V and the U_j into tied (w_s) and untied (w_d) sides.
+    """Split the columns of V and the U_j into tied (W_S) and untied (W_D) sides.
 
     V goes to the tied side iff the speaker is tied; U_j iff condition j
     is tied. Within each side the order is speaker first, then
@@ -158,46 +160,14 @@ def partition_factors(model: ModelParams, h: HypothesisVector) -> Partition:
             f"model has {model.n_conditions}"
         )
     flags = (h.speaker_tied,) + h.condition_tied
-    blocks = (model.V,) + model.U
-    layout = _block_layout(model)
-
-    tied_blocks, untied_blocks = [], []
-    tied_slots, untied_slots = [], []
-    tied_cols, untied_cols = [], []
-    for tied, block, (name, cols) in zip(flags, blocks, layout):
-        if tied:
-            tied_blocks.append(block)
-            tied_slots.append(name)
-            tied_cols.append(np.arange(cols.start, cols.stop))
-        else:
-            untied_blocks.append(block)
-            untied_slots.append(name)
-            untied_cols.append(np.arange(cols.start, cols.stop))
-
-    d = model.d
-    w_s = np.concatenate(tied_blocks, axis=1) if tied_blocks else np.zeros((d, 0))
-    w_d = np.concatenate(untied_blocks, axis=1) if untied_blocks else np.zeros((d, 0))
-    cat = lambda parts: (
-        np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    ).astype(np.int64)
+    slots = {True: [], False: []}
+    cols = {True: [np.zeros(0, dtype=np.int64)], False: [np.zeros(0, dtype=np.int64)]}
+    for tied, (name, block) in zip(flags, _block_layout(model)):
+        slots[tied].append(name)
+        cols[tied].append(np.arange(block.start, block.stop, dtype=np.int64))
     return Partition(
-        w_s=w_s,
-        w_d=w_d,
-        n_s=w_s.shape[1],
-        n_d=w_d.shape[1],
-        tied_slots=tuple(tied_slots),
-        untied_slots=tuple(untied_slots),
-        tied_cols=cat(tied_cols),
-        untied_cols=cat(untied_cols),
+        tied_slots=tuple(slots[True]),
+        untied_slots=tuple(slots[False]),
+        tied_cols=np.concatenate(cols[True]),
+        untied_cols=np.concatenate(cols[False]),
     )
-
-
-def build_p_matrix(n_s: int, n_d: int) -> np.ndarray:
-    """Per-side prior weight matrix diag(0.5 * I_{n_s}, I_{n_d}).
-
-    Tied latents are shared by both sides of the trial, so each side
-    carries half of their unit prior precision.
-    """
-    if n_s < 0 or n_d < 0:
-        raise ValueError("block sizes must be >= 0")
-    return np.diag(np.concatenate([np.full(n_s, 0.5), np.ones(n_d)]))

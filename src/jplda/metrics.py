@@ -4,14 +4,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingClass
+from .errors import MissingClass, NonFinite
 
 __all__ = ["ScoredTrials", "eer", "calibration_identity"]
 
 
 @dataclass(frozen=True)
 class ScoredTrials:
-    """Scores paired with target (True) / nontarget (False) labels."""
+    """Scores paired with target (True) / nontarget (False) labels.
+
+    Scores may be +-inf (valid log-likelihood ratios) but never NaN.
+    """
 
     scores: np.ndarray
     labels: np.ndarray
@@ -23,6 +26,8 @@ class ScoredTrials:
             raise ValueError("scores and labels must be 1-d arrays of equal length")
         if scores.size == 0:
             raise ValueError("no trials")
+        if np.any(np.isnan(scores)):
+            raise NonFinite("scores contain NaN")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmetric
 
-__all__ = ["ModelParams", "StackedModel", "validate", "stack_w", "collapse_to_plda"]
+__all__ = ["ModelParams", "validate", "stack_w", "collapse_to_plda"]
 
 # symmetry check is relative to the largest entry of D
 _SYMMETRY_TOL = 1e-10
@@ -84,20 +84,13 @@ class ModelParams:
         return self.r_y + sum(self.r_x)
 
 
-@dataclass(frozen=True)
-class StackedModel:
-    """All factor loadings stacked column-wise: W = [V | U_1 | ... | U_N]."""
-
-    W: np.ndarray
-    r_z: int
-
-
 def validate(model: ModelParams) -> None:
     """Check all model invariants; raise on the first violation.
 
     Raises:
       DimensionMismatch: some matrix does not have d rows, or some
         condition subspace is empty (R_xj == 0).
+      NonFinite: some parameter array holds a NaN or an infinity.
       NotSymmetric: D deviates from its transpose by more than 1e-10
         relative to its largest entry.
       NotPositiveDefinite: the Cholesky factorization of D fails.
@@ -112,6 +105,11 @@ def validate(model: ModelParams) -> None:
             raise DimensionMismatch(f"U[{j}] must have at least one column")
     if model.D.shape != (d, d):
         raise DimensionMismatch(f"D has shape {model.D.shape}, expected ({d}, {d})")
+    named = [("mu", model.mu), ("V", model.V)]
+    named += [(f"U[{j}]", u) for j, u in enumerate(model.U)] + [("D", model.D)]
+    for name, a in named:
+        if not np.all(np.isfinite(a)):
+            raise NonFinite(f"{name} contains non-finite values")
 
     scale = max(1.0, float(np.max(np.abs(model.D))) if d else 1.0)
     if d and float(np.max(np.abs(model.D - model.D.T))) > _SYMMETRY_TOL * scale:
@@ -122,12 +120,9 @@ def validate(model: ModelParams) -> None:
         raise NotPositiveDefinite("D is not positive definite") from exc
 
 
-def stack_w(model: ModelParams) -> StackedModel:
-    """Concatenate V and the U_j column-wise, in model order."""
-    d = model.d
-    blocks = [model.V] + list(model.U)
-    w = np.concatenate(blocks, axis=1) if blocks else np.zeros((d, 0))
-    return StackedModel(W=w, r_z=w.shape[1])
+def stack_w(model: ModelParams) -> np.ndarray:
+    """W = [V | U_1 | ... | U_N]: all loadings column-wise, in model order."""
+    return np.concatenate((model.V,) + model.U, axis=1)
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:

@@ -201,7 +201,7 @@ def data_loglik(samples, latents: LabeledLatents, model: ModelParams) -> float:
         raise ValueError(
             f"samples have shape {m.shape}, expected ({latents.n_samples}, {model.d})"
         )
-    w = stack_w(model).W
+    w = stack_w(model)
     z = latents.stacked_latents()
     if z.shape[1] != w.shape[1]:
         raise ValueError(

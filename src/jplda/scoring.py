@@ -12,12 +12,11 @@ Sigma is the posterior covariance of the stacked trial latents
 [Z_shared; Z_enroll; Z_test] and Phi its information vector. Everything
 that depends only on the hypothesis (the posterior precision, its
 Cholesky factor, the log-determinant, the prior) is computed once per
-session; a trial costs two projections of size R_z plus one triangular
-solve per hypothesis.
+session from one Gram matrix W^T D W; a trial costs two projections of
+size R_z plus one gather and one triangular solve per hypothesis.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -25,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dtrsv
 
-from .errors import AllHypothesesExcluded, FactorizationFailed, UnknownId
+from .errors import AllHypothesesExcluded, FactorizationFailed, NonFinite, UnknownId
 from .hypothesis import (
     HypothesisVector,
     Partition,
@@ -34,7 +33,7 @@ from .hypothesis import (
     hypothesis_log_prior,
     partition_factors,
 )
-from .model import ModelParams, StackedModel, stack_w, validate
+from .model import ModelParams, stack_w, validate
 
 __all__ = [
     "HypothesisFactorization",
@@ -47,21 +46,7 @@ __all__ = [
     "llr",
     "posterior_moments",
     "score_trials",
-    "cholesky_counter",
 ]
-
-
-class _CholeskyCounter:
-    """Counts posterior-precision factorizations, for precompute-contract tests."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-cholesky_counter = _CholeskyCounter()
 
 
 @dataclass(frozen=True)
@@ -74,20 +59,22 @@ class HypothesisFactorization:
       chol: lower Cholesky factor of the posterior precision of
         [Z_shared; Z_enroll; Z_test], Fortran-ordered, size n_s + 2*n_d.
       half_log_det_sigma: 0.5 log|Sigma| = -sum(log diag(chol)).
-      log_prior_ss / log_prior_ds: log prior of the condition flags in
-        the same-speaker / different-speaker branch (-inf allowed).
+      log_prior: log prior of this hypothesis' condition flags in its
+        speaker branch (-inf allowed).
+      gather: indices that read Phi out of the stacked projections
+        [p_e + p_t; p_e; p_t] of a trial.
     """
 
     hypothesis: HypothesisVector
     partition: Partition
     chol: np.ndarray
     half_log_det_sigma: float
-    log_prior_ss: float
-    log_prior_ds: float
+    log_prior: float
+    gather: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.partition.n_s + 2 * self.partition.n_d
+        return len(self.gather)
 
 
 @dataclass(frozen=True)
@@ -103,11 +90,10 @@ class ScoringSession:
     """Immutable bundle of a model plus all 2^(N+1) hypothesis factorizations.
 
     Build once with :func:`precompute_session`, then score any number of
-    trials concurrently; all members are read-only.
+    trials; all members are read-only.
     """
 
     model: ModelParams
-    stacked: StackedModel
     priors: PriorConfig
     factorizations: MappingProxyType
     dw: np.ndarray
@@ -120,10 +106,12 @@ class ScoringSession:
         return self.dw.T @ centered
 
 
-def build_k_sum(model: ModelParams, partition: Partition) -> np.ndarray:
+def build_k_sum(gram: np.ndarray, partition: Partition) -> np.ndarray:
     """Posterior precision of [Z_shared; Z_enroll; Z_test] for one hypothesis.
 
-    Block form, with A = W_S^T D W_S, B = W_S^T D W_D, C = W_D^T D W_D::
+    ``gram`` is the symmetric W^T D W of the stacked loadings. With
+    A = W_S^T D W_S, B = W_S^T D W_D and C = W_D^T D W_D, all sliced
+    out of it by the partition's columns, the block form is::
 
         [ 2A + I   B       B     ]
         [ B^T      C + I   0     ]
@@ -133,28 +121,16 @@ def build_k_sum(model: ModelParams, partition: Partition) -> np.ndarray:
     model: the identity blocks come from the unit prior on the latents.
     """
     n_s, n_d = partition.n_s, partition.n_d
-    dws = model.D @ partition.w_s
-    dwd = model.D @ partition.w_d
-    a = partition.w_s.T @ dws
-    a = 0.5 * (a + a.T)
-    b = partition.w_s.T @ dwd
-    c = partition.w_d.T @ dwd
-    c = 0.5 * (c + c.T)
-
-    n = n_s + 2 * n_d
-    k = np.zeros((n, n))
-    k[:n_s, :n_s] = 2.0 * a + np.eye(n_s)
-    k[:n_s, n_s : n_s + n_d] = b
-    k[:n_s, n_s + n_d :] = b
-    k[n_s : n_s + n_d, :n_s] = b.T
-    k[n_s + n_d :, :n_s] = b.T
-    k[n_s : n_s + n_d, n_s : n_s + n_d] = c + np.eye(n_d)
-    k[n_s + n_d :, n_s + n_d :] = c + np.eye(n_d)
+    cols = np.concatenate((partition.tied_cols, partition.untied_cols, partition.untied_cols))
+    k = gram[np.ix_(cols, cols)]
+    k[:n_s, :n_s] *= 2.0
+    k[n_s : n_s + n_d, n_s + n_d :] = 0.0
+    k[n_s + n_d :, n_s : n_s + n_d] = 0.0
+    k[np.diag_indices_from(k)] += 1.0
     return k
 
 
 def _cholesky_lower(k: np.ndarray, hypothesis: HypothesisVector) -> np.ndarray:
-    cholesky_counter.count += 1
     try:
         chol = sla.cholesky(k, lower=True)
     except (sla.LinAlgError, ValueError) as exc:
@@ -168,9 +144,10 @@ def _cholesky_lower(k: np.ndarray, hypothesis: HypothesisVector) -> np.ndarray:
 
 
 def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSession:
-    """Factorize every hypothesis once and cache all projections.
+    """Factorize every hypothesis once, from one Gram matrix W^T D W.
 
     Raises:
+      NonFinite, DimensionMismatch, ...: the model fails ``validate``.
       FactorizationFailed: some posterior precision was not numerically
         SPD (overflowing or otherwise broken model parameters).
     """
@@ -179,9 +156,12 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         raise ValueError(
             f"priors cover {priors.n_conditions} conditions, model has {model.n_conditions}"
         )
-    stacked = stack_w(model)
-    dw = model.D @ stacked.W
+    w = stack_w(model)
+    dw = model.D @ w
     dw.setflags(write=False)
+    gram = w.T @ dw
+    gram = 0.5 * (gram + gram.T)
+    r_z = w.shape[1]
 
     cond_hyps = enumerate_condition_hypotheses(model.n_conditions)
     facts = {}
@@ -189,19 +169,21 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         for cond in cond_hyps:
             h = HypothesisVector(speaker_tied, cond)
             part = partition_factors(model, h)
-            k = build_k_sum(model, part)
-            chol = _cholesky_lower(k, h)
+            chol = _cholesky_lower(build_k_sum(gram, part), h)
+            gather = np.concatenate(
+                (part.tied_cols, r_z + part.untied_cols, 2 * r_z + part.untied_cols)
+            )
+            gather.setflags(write=False)
             facts[h] = HypothesisFactorization(
                 hypothesis=h,
                 partition=part,
                 chol=chol,
                 half_log_det_sigma=-float(np.sum(np.log(np.diag(chol)))),
-                log_prior_ss=hypothesis_log_prior(HypothesisVector(True, cond), priors),
-                log_prior_ds=hypothesis_log_prior(HypothesisVector(False, cond), priors),
+                log_prior=hypothesis_log_prior(h, priors),
+                gather=gather,
             )
     return ScoringSession(
         model=model,
-        stacked=stacked,
         priors=priors,
         factorizations=MappingProxyType(facts),
         dw=dw,
@@ -210,11 +192,9 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     )
 
 
-def _assemble_phi(fact: HypothesisFactorization, proj_sum, proj_e, proj_t) -> np.ndarray:
-    part = fact.partition
-    return np.concatenate(
-        (proj_sum[part.tied_cols], proj_e[part.untied_cols], proj_t[part.untied_cols])
-    )
+def _stack_projections(proj_e, proj_t) -> np.ndarray:
+    """[p_e + p_t; p_e; p_t], the vector every hypothesis' Phi is gathered from."""
+    return np.concatenate((proj_e + proj_t, proj_e, proj_t))
 
 
 def compute_phi(session: ScoringSession, h: HypothesisVector, m_enroll, m_test) -> np.ndarray:
@@ -222,20 +202,18 @@ def compute_phi(session: ScoringSession, h: HypothesisVector, m_enroll, m_test) 
 
     Both inputs must already be centered (mean subtracted).
     """
-    fact = session.factorizations[h]
     proj_e = session.project(np.asarray(m_enroll, dtype=np.float64))
     proj_t = session.project(np.asarray(m_test, dtype=np.float64))
-    return _assemble_phi(fact, proj_e + proj_t, proj_e, proj_t)
+    return _stack_projections(proj_e, proj_t)[session.factorizations[h].gather]
 
 
-def _q_value(fact: HypothesisFactorization, log_prior, proj_sum, proj_e, proj_t) -> float:
-    if log_prior == -math.inf:
+def _q_value(fact: HypothesisFactorization, stacked: np.ndarray) -> float:
+    if fact.log_prior == -math.inf:
         return -math.inf
     if fact.size == 0:
-        return log_prior
-    phi = _assemble_phi(fact, proj_sum, proj_e, proj_t)
-    x = dtrsv(fact.chol, phi, lower=1)
-    return fact.half_log_det_sigma + 0.5 * float(x @ x) + log_prior
+        return fact.log_prior
+    x = dtrsv(fact.chol, stacked[fact.gather], lower=1)
+    return fact.half_log_det_sigma + 0.5 * float(x @ x) + fact.log_prior
 
 
 def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> float:
@@ -244,12 +222,10 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
     ``h`` is the condition-tie vector; inputs must be centered. Returns
     -inf when the hypothesis prior is zero.
     """
-    hv = HypothesisVector(speaker_tied, tuple(h))
-    fact = session.factorizations[hv]
-    log_prior = fact.log_prior_ss if speaker_tied else fact.log_prior_ds
+    fact = session.factorizations[HypothesisVector(speaker_tied, tuple(h))]
     proj_e = session.project(np.asarray(m_enroll, dtype=np.float64))
     proj_t = session.project(np.asarray(m_test, dtype=np.float64))
-    return _q_value(fact, log_prior, proj_e + proj_t, proj_e, proj_t)
+    return _q_value(fact, _stack_projections(proj_e, proj_t))
 
 
 def posterior_moments(
@@ -280,29 +256,26 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(values - m))))
 
 
-def _branch_logsumexp(session, branch, proj_sum, proj_e, proj_t, use_ss_prior) -> float:
-    q = np.empty(len(branch))
-    for i, fact in enumerate(branch):
-        log_prior = fact.log_prior_ss if use_ss_prior else fact.log_prior_ds
-        q[i] = _q_value(fact, log_prior, proj_sum, proj_e, proj_t)
-    total = _logsumexp(q)
+def _branch_logsumexp(branch, stacked: np.ndarray, name: str) -> float:
+    total = _logsumexp(np.array([_q_value(fact, stacked) for fact in branch]))
     if total == -math.inf:
-        name = "same-speaker" if use_ss_prior else "different-speaker"
         raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
     return total
 
 
 def _llr_from_projections(session: ScoringSession, proj_e, proj_t) -> float:
-    proj_sum = proj_e + proj_t
-    num = _branch_logsumexp(session, session.ss_branch, proj_sum, proj_e, proj_t, True)
-    den = _branch_logsumexp(session, session.ds_branch, proj_sum, proj_e, proj_t, False)
+    stacked = _stack_projections(proj_e, proj_t)
+    num = _branch_logsumexp(session.ss_branch, stacked, "same-speaker")
+    den = _branch_logsumexp(session.ds_branch, stacked, "different-speaker")
     return num - den
 
 
-def _project_raw(session: ScoringSession, m) -> np.ndarray:
+def _project_raw(session: ScoringSession, m, what: str = "input vector") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (session.model.d,):
         raise ValueError(f"expected a vector of length {session.model.d}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFinite(f"{what} contains non-finite values")
     return session.project(m - session.model.mu)
 
 
@@ -311,59 +284,42 @@ def llr(session: ScoringSession, m_enroll, m_test) -> float:
 
     Raises:
       AllHypothesesExcluded: one branch has zero total prior.
+      NonFinite: an input holds a NaN or an infinity.
     """
     return _llr_from_projections(
         session, _project_raw(session, m_enroll), _project_raw(session, m_test)
     )
 
 
-def score_trials(session: ScoringSession, enroll, test, trials, threads: int = 1) -> np.ndarray:
+def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     """Score a list of (enroll_id, test_id) pairs against embedding tables.
 
     Projections are computed once per referenced id; the per-hypothesis
     factorizations come from the session, so no Cholesky runs here. The
-    output order matches the input order and is independent of
-    ``threads``; every score is bitwise equal to ``llr`` on the pair.
+    output order matches the input order, and every score is bitwise
+    equal to ``llr`` on the pair.
 
     Args:
       enroll / test: mappings from id to raw embedding vector.
       trials: sequence of (enroll_id, test_id) pairs.
-      threads: number of worker threads for the per-trial loop.
 
     Raises:
       UnknownId: a trial references an id absent from its table.
+      NonFinite: a referenced embedding holds a NaN or an infinity.
     """
     trials = [(e, t) for e, t in trials]
-    out = np.empty(len(trials))
-    if not trials:
-        return out
-
     proj_e, proj_t = {}, {}
     for eid, tid in trials:
         if eid not in proj_e:
             if eid not in enroll:
                 raise UnknownId(f"unknown enroll id {eid!r}")
-            proj_e[eid] = _project_raw(session, enroll[eid])
+            proj_e[eid] = _project_raw(session, enroll[eid], f"enroll id {eid!r}")
         if tid not in proj_t:
             if tid not in test:
                 raise UnknownId(f"unknown test id {tid!r}")
-            proj_t[tid] = _project_raw(session, test[tid])
+            proj_t[tid] = _project_raw(session, test[tid], f"test id {tid!r}")
 
-    def score_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            eid, tid = trials[i]
-            out[i] = _llr_from_projections(session, proj_e[eid], proj_t[tid])
-
-    threads = max(1, int(threads))
-    if threads == 1 or len(trials) < 2 * threads:
-        score_range(0, len(trials))
-    else:
-        bounds = np.linspace(0, len(trials), threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(score_range, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+    out = np.empty(len(trials))
+    for i, (eid, tid) in enumerate(trials):
+        out[i] = _llr_from_projections(session, proj_e[eid], proj_t[tid])
     return out

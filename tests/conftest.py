@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jplda import ModelParams, PriorConfig
+from jplda import ModelParams, PriorConfig, scoring
 
 
 def random_model(rng, d, r_y, r_x, diagonal_noise=False, centered=False, scale=1.0):
@@ -27,3 +27,17 @@ def random_priors(rng, n_conditions):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """List that records the hypothesis of every posterior-precision Cholesky."""
+    calls = []
+    real = scoring._cholesky_lower
+
+    def spy(k, hypothesis):
+        calls.append(hypothesis)
+        return real(k, hypothesis)
+
+    monkeypatch.setattr(scoring, "_cholesky_lower", spy)
+    return calls

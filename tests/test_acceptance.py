@@ -30,7 +30,6 @@ from jplda.oracle import (
     per_sample_prior_logpdf,
     data_loglik,
 )
-from jplda.scoring import cholesky_counter
 
 from conftest import random_model, random_priors
 from test_oracle import full_joint_logpdf, random_latents
@@ -129,12 +128,10 @@ def test_criterion_4_symmetries(capsys):
     scaled = dataclasses.replace(
         session,
         ss_branch=tuple(
-            dataclasses.replace(f, log_prior_ss=f.log_prior_ss + shift)
-            for f in session.ss_branch
+            dataclasses.replace(f, log_prior=f.log_prior + shift) for f in session.ss_branch
         ),
         ds_branch=tuple(
-            dataclasses.replace(f, log_prior_ds=f.log_prior_ds + shift)
-            for f in session.ds_branch
+            dataclasses.replace(f, log_prior=f.log_prior + shift) for f in session.ds_branch
         ),
     )
     for _ in range(20):
@@ -181,7 +178,7 @@ def test_criterion_5_calibration_identity(capsys):
     priors = PriorConfig((0.7,), (0.3,))
     emb, trials, key = make_benchmark(model, priors, n_target=0, n_nontarget=100_000, seed=77)
     session = precompute_session(model, priors)
-    scores = score_trials(session, emb, emb, trials, threads=4)
+    scores = score_trials(session, emb, emb, trials)
     cal = calibration_identity(ScoredTrials(scores, key))
     ok = 0.9 <= cal <= 1.1
     verdict(capsys, "5 calibration identity", ok, f"mean exp(LLR) = {cal:.4f} on 100k nontargets")
@@ -203,10 +200,10 @@ def test_criterion_6_discrimination_vs_collapsed_baseline(capsys):
     priors = PriorConfig((0.8, 0.8), (0.2, 0.2))
     emb, trials, key = make_benchmark(model, priors, 10_000, 10_000, seed=10)
 
-    full = score_trials(precompute_session(model, priors), emb, emb, trials, threads=4)
+    full = score_trials(precompute_session(model, priors), emb, emb, trials)
     baseline_model = collapse_to_plda(model)
     baseline = score_trials(
-        precompute_session(baseline_model, PriorConfig.uniform(0)), emb, emb, trials, threads=4
+        precompute_session(baseline_model, PriorConfig.uniform(0)), emb, emb, trials
     )
     eer_full = eer(ScoredTrials(full, key))
     eer_base = eer(ScoredTrials(baseline, key))
@@ -219,7 +216,7 @@ def test_criterion_6_discrimination_vs_collapsed_baseline(capsys):
     )
 
 
-def test_criterion_7_precompute_and_throughput(capsys, tmp_path):
+def test_criterion_7_precompute_and_throughput(capsys, tmp_path, factorizations):
     rng = np.random.default_rng(99)
     d, r_y, r_x = 200, 50, (20, 20)
     model = ModelParams(
@@ -230,9 +227,8 @@ def test_criterion_7_precompute_and_throughput(capsys, tmp_path):
     )
     priors = PriorConfig((0.6, 0.7), (0.3, 0.2))
 
-    cholesky_counter.reset()
     session = precompute_session(model, priors)
-    factorizations_at_precompute = cholesky_counter.count
+    factorizations_at_precompute = len(factorizations)
 
     n_emb = 2000
     enroll = {f"e{i}": rng.standard_normal(d) for i in range(n_emb)}
@@ -242,17 +238,17 @@ def test_criterion_7_precompute_and_throughput(capsys, tmp_path):
     ]
 
     start = time.perf_counter()
-    one = score_trials(session, enroll, test, trials, threads=1)
+    forward = score_trials(session, enroll, test, trials)
     elapsed = time.perf_counter() - start
-    eight = score_trials(session, enroll, test, trials, threads=8)
+    backward = score_trials(session, enroll, test, trials[::-1])[::-1]
 
-    io.save_scores(tmp_path / "one.tsv", trials, one)
-    io.save_scores(tmp_path / "eight.tsv", trials, eight)
-    identical = (tmp_path / "one.tsv").read_bytes() == (tmp_path / "eight.tsv").read_bytes()
+    io.save_scores(tmp_path / "forward.tsv", trials, forward)
+    io.save_scores(tmp_path / "backward.tsv", trials, backward)
+    identical = (tmp_path / "forward.tsv").read_bytes() == (tmp_path / "backward.tsv").read_bytes()
 
     ok = (
         factorizations_at_precompute == 8
-        and cholesky_counter.count == 8
+        and len(factorizations) == 8
         and elapsed < 10.0
         and identical
     )
@@ -260,8 +256,8 @@ def test_criterion_7_precompute_and_throughput(capsys, tmp_path):
         capsys,
         "7 precompute contract and throughput",
         ok,
-        f"{cholesky_counter.count} factorizations, 10k trials in {elapsed:.2f}s, "
-        f"threads 1 vs 8 byte-identical: {identical}",
+        f"{len(factorizations)} factorizations, 10k trials in {elapsed:.2f}s, "
+        f"forward vs reversed order byte-identical: {identical}",
     )
 
 

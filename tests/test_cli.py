@@ -69,12 +69,55 @@ def test_score_unknown_id(pipeline, tmp_path, capsys):
     assert "whoami" in capsys.readouterr().err
 
 
-def test_score_threads_byte_identical(pipeline, tmp_path):
+def test_score_trial_order_byte_identical(pipeline, tmp_path):
     assert run_score(pipeline) == 0
-    single = pipeline["scores"].read_bytes()
-    pipeline = dict(pipeline, scores=tmp_path / "scores8.tsv")
-    assert run_score(pipeline, extra=["--threads", "8"]) == 0
-    assert pipeline["scores"].read_bytes() == single
+    forward = pipeline["scores"].read_bytes().splitlines(keepends=True)
+    reversed_trials = tmp_path / "reversed.tsv"
+    reversed_trials.write_bytes(
+        b"".join(pipeline["trials"].read_bytes().splitlines(keepends=True)[::-1])
+    )
+    pipeline = dict(pipeline, trials=reversed_trials, scores=tmp_path / "backward.tsv")
+    assert run_score(pipeline) == 0
+    backward = pipeline["scores"].read_bytes().splitlines(keepends=True)
+    assert backward[::-1] == forward
+
+
+def test_score_parses_a_shared_table_once(pipeline, tmp_path, monkeypatch):
+    import jplda.cli as cli
+
+    loaded = []
+    real = cli.io.load_embeddings
+
+    def counting(path):
+        loaded.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli.io, "load_embeddings", counting)
+    assert run_score(pipeline) == 0
+    assert len(loaded) == 1
+
+    copy = tmp_path / "copy.tsv"
+    copy.write_bytes(pipeline["emb"].read_bytes())
+    loaded.clear()
+    assert main([
+        "score",
+        "--model", str(pipeline["model"]),
+        "--enroll", str(pipeline["emb"]),
+        "--test", str(copy),
+        "--trials", str(pipeline["trials"]),
+        "--priors", str(pipeline["priors"]),
+        "--out", str(pipeline["scores"]),
+    ]) == 0
+    assert len(loaded) == 2
+
+
+def test_score_nan_embedding_exits_1(pipeline, tmp_path, capsys):
+    emb = io.load_embeddings(pipeline["emb"])
+    first = io.load_trials(pipeline["trials"])[0][0]
+    emb[first] = np.full_like(emb[first], np.nan)
+    io.save_embeddings(tmp_path / "nan.tsv", emb)
+    assert run_score(dict(pipeline, emb=tmp_path / "nan.tsv")) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_score_exit_2_when_branch_excluded(pipeline, monkeypatch):

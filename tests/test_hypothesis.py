@@ -6,7 +6,6 @@ import pytest
 from jplda import (
     HypothesisVector,
     PriorConfig,
-    build_p_matrix,
     enumerate_condition_hypotheses,
     hypothesis_log_prior,
     partition_factors,
@@ -91,8 +90,8 @@ def test_prior_config_rejects_out_of_range():
 def test_partition_mixed(rng):
     model = random_model(rng, 4, 2, (1, 3))
     part = partition_factors(model, HypothesisVector(True, (True, False)))
-    np.testing.assert_array_equal(part.w_s, np.concatenate([model.V, model.U[0]], axis=1))
-    np.testing.assert_array_equal(part.w_d, model.U[1])
+    np.testing.assert_array_equal(part.tied_cols, np.arange(3))
+    np.testing.assert_array_equal(part.untied_cols, np.arange(3, 6))
     assert part.tied_slots == ("speaker", "condition_1")
     assert part.untied_slots == ("condition_2",)
     assert (part.n_s, part.n_d) == (3, 3)
@@ -101,17 +100,15 @@ def test_partition_mixed(rng):
 def test_partition_all_untied(rng):
     model = random_model(rng, 4, 2, (1, 3))
     part = partition_factors(model, HypothesisVector(False, (False, False)))
-    assert part.n_s == 0 and part.w_s.shape == (4, 0)
-    np.testing.assert_array_equal(
-        part.w_d, np.concatenate([model.V, model.U[0], model.U[1]], axis=1)
-    )
+    assert part.n_s == 0 and part.tied_cols.shape == (0,)
+    np.testing.assert_array_equal(part.untied_cols, np.arange(6))
 
 
 def test_partition_all_tied(rng):
     model = random_model(rng, 4, 2, (1, 3))
     part = partition_factors(model, HypothesisVector(True, (True, True)))
-    assert part.n_d == 0 and part.w_d.shape == (4, 0)
-    np.testing.assert_array_equal(part.w_s, stack_w(model).W)
+    assert part.n_d == 0 and part.untied_cols.shape == (0,)
+    np.testing.assert_array_equal(part.tied_cols, np.arange(6))
 
 
 def test_partition_is_column_split_of_stack(rng):
@@ -119,18 +116,18 @@ def test_partition_is_column_split_of_stack(rng):
         d = int(rng.integers(1, 6))
         r_x = tuple(int(r) for r in rng.integers(1, 4, size=rng.integers(0, 4)))
         model = random_model(rng, d, int(rng.integers(0, 4)), r_x)
-        w = stack_w(model).W
+        w = stack_w(model)
+        blocks = (model.V,) + model.U
         for cond in enumerate_condition_hypotheses(model.n_conditions):
             for spk in (True, False):
                 part = partition_factors(model, HypothesisVector(spk, cond))
                 assert part.n_s + part.n_d == w.shape[1]
-                np.testing.assert_array_equal(part.w_s, w[:, part.tied_cols])
-                np.testing.assert_array_equal(part.w_d, w[:, part.untied_cols])
+                flags = (spk,) + cond
+                empty = [np.zeros((d, 0))]
+                tied = np.hstack(empty + [b for b, t in zip(blocks, flags) if t])
+                untied = np.hstack(empty + [b for b, t in zip(blocks, flags) if not t])
+                np.testing.assert_array_equal(w[:, part.tied_cols], tied)
+                np.testing.assert_array_equal(w[:, part.untied_cols], untied)
                 together = np.sort(np.concatenate([part.tied_cols, part.untied_cols]))
                 np.testing.assert_array_equal(together, np.arange(w.shape[1]))
 
-
-def test_p_matrix_values():
-    np.testing.assert_array_equal(build_p_matrix(2, 3), np.diag([0.5, 0.5, 1.0, 1.0, 1.0]))
-    np.testing.assert_array_equal(build_p_matrix(0, 3), np.eye(3))
-    np.testing.assert_array_equal(build_p_matrix(3, 0), 0.5 * np.eye(3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jplda import MissingClass, ScoredTrials, calibration_identity, eer
+from jplda import MissingClass, NonFinite, ScoredTrials, calibration_identity, eer
 
 
 def sweep_eer_reference(scores, labels):
@@ -22,6 +22,16 @@ def sweep_eer_reference(scores, labels):
             alpha = -d1 / (d2 - d1)
             return m1 + alpha * (m2 - m1)
     raise AssertionError("no crossing found")
+
+
+def test_scored_trials_reject_nan():
+    with pytest.raises(NonFinite):
+        eer(ScoredTrials([np.nan, 1.0, 2.0, 0.5], [True, False, True, False]))
+
+
+def test_scored_trials_accept_infinite_llrs():
+    trials = ScoredTrials([np.inf, -np.inf, 1.0, 0.0], [True, False, True, False])
+    assert eer(trials) == 0.0
 
 
 def test_eer_perfect_separation():

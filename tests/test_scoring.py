@@ -10,6 +10,7 @@ from jplda import (
     FactorizationFailed,
     HypothesisVector,
     ModelParams,
+    NonFinite,
     PriorConfig,
     UnknownId,
     build_k_sum,
@@ -23,9 +24,9 @@ from jplda import (
     precompute_session,
     q_term,
     score_trials,
+    stack_w,
 )
 from jplda.oracle import gaussian_llr_oracle, marginal_cov
-from jplda.scoring import cholesky_counter
 
 from conftest import random_model, random_priors
 
@@ -36,6 +37,17 @@ def scalar_model():
     )
 
 
+def gram(model):
+    w = stack_w(model)
+    return w.T @ model.D @ w
+
+
+def side_blocks(model, part):
+    """The tied and untied loadings W_S, W_D of one partition."""
+    w = stack_w(model)
+    return w[:, part.tied_cols], w[:, part.untied_cols]
+
+
 # posterior precision -----------------------------------------------------
 
 
@@ -43,7 +55,7 @@ def test_k_sum_scalar_blocks():
     model = scalar_model()
     part = partition_factors(model, HypothesisVector(True, (False,)))
     np.testing.assert_allclose(
-        build_k_sum(model, part),
+        build_k_sum(gram(model), part),
         [[3.0, 2.0, 2.0], [2.0, 5.0, 0.0], [2.0, 0.0, 5.0]],
         atol=1e-14,
     )
@@ -52,9 +64,10 @@ def test_k_sum_scalar_blocks():
 def test_k_sum_no_tied_block(rng):
     model = random_model(rng, 3, 2, (1,))
     part = partition_factors(model, HypothesisVector(False, (False,)))
-    k = build_k_sum(model, part)
+    k = build_k_sum(gram(model), part)
     n_d = part.n_d
-    block = part.w_d.T @ model.D @ part.w_d + np.eye(n_d)
+    _, w_untied = side_blocks(model, part)
+    block = w_untied.T @ model.D @ w_untied + np.eye(n_d)
     np.testing.assert_allclose(k[:n_d, :n_d], block, atol=1e-12)
     np.testing.assert_allclose(k[n_d:, n_d:], block, atol=1e-12)
     np.testing.assert_array_equal(k[:n_d, n_d:], np.zeros((n_d, n_d)))
@@ -63,24 +76,31 @@ def test_k_sum_no_tied_block(rng):
 def test_k_sum_no_untied_block(rng):
     model = random_model(rng, 3, 2, (1,))
     part = partition_factors(model, HypothesisVector(True, (True,)))
-    k = build_k_sum(model, part)
-    want = 2.0 * part.w_s.T @ model.D @ part.w_s + np.eye(part.n_s)
+    k = build_k_sum(gram(model), part)
+    w_tied, _ = side_blocks(model, part)
+    want = 2.0 * w_tied.T @ model.D @ w_tied + np.eye(part.n_s)
     np.testing.assert_allclose(k, want, atol=1e-12)
 
 
-def test_session_counts_and_reconstruction(rng):
+def test_session_counts_and_reconstruction(rng, factorizations):
     for n_cond, expected in ((2, 8), (0, 2)):
         r_x = (1, 2)[:n_cond]
         model = random_model(rng, 4, 2, r_x)
-        cholesky_counter.reset()
+        factorizations.clear()
         session = precompute_session(model, PriorConfig.uniform(n_cond))
         assert len(session.factorizations) == expected
-        assert cholesky_counter.count == expected
+        assert len(factorizations) == expected
         for h, fact in session.factorizations.items():
-            k = build_k_sum(model, fact.partition)
+            k = build_k_sum(gram(model), fact.partition)
             recon = fact.chol @ fact.chol.T
             np.testing.assert_allclose(recon, k, rtol=1e-8, atol=1e-12)
             assert math.isfinite(fact.half_log_det_sigma)
+
+
+def test_session_names_nan_loadings():
+    model = ModelParams(mu=np.zeros(2), V=np.array([[np.nan], [1.0]]), U=(), D=np.eye(2))
+    with pytest.raises(NonFinite, match="V"):
+        precompute_session(model, PriorConfig.uniform(0))
 
 
 def test_session_rejects_overflowing_model():
@@ -110,8 +130,8 @@ def test_phi_all_tied_uses_sum(rng):
     session = precompute_session(model, PriorConfig.uniform(1))
     h = HypothesisVector(True, (True,))
     m_e, m_t = rng.standard_normal(3), rng.standard_normal(3)
-    part = session.factorizations[h].partition
-    want = part.w_s.T @ model.D @ (m_e + m_t)
+    w_tied, _ = side_blocks(model, session.factorizations[h].partition)
+    want = w_tied.T @ model.D @ (m_e + m_t)
     np.testing.assert_allclose(compute_phi(session, h, m_e, m_t), want, atol=1e-12)
 
 
@@ -138,7 +158,7 @@ def test_q_term_zero_inputs_reduce_to_log_det(rng):
     session = precompute_session(model, priors)
     h = (True,)
     fact = session.factorizations[HypothesisVector(False, h)]
-    want = fact.half_log_det_sigma + fact.log_prior_ds
+    want = fact.half_log_det_sigma + fact.log_prior
     got = q_term(session, False, h, np.zeros(3), np.zeros(3))
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -191,7 +211,7 @@ def test_posterior_cov_inverts_precision(rng):
         mom = posterior_moments(
             session, h.speaker_tied, h.condition_tied, np.zeros(4), np.zeros(4)
         )
-        k = build_k_sum(model, fact.partition)
+        k = build_k_sum(gram(model), fact.partition)
         np.testing.assert_allclose(mom.sigma @ k, np.eye(fact.size), atol=1e-8)
 
 
@@ -202,9 +222,9 @@ def test_posterior_mean_matches_conditional_gaussian(rng):
     for h in session.factorizations:
         part = session.factorizations[h].partition
         d = model.d
-        n = part.n_s + 2 * part.n_d
-        w_e = np.concatenate([part.w_s, part.w_d, np.zeros((d, part.n_d))], axis=1)
-        w_t = np.concatenate([part.w_s, np.zeros((d, part.n_d)), part.w_d], axis=1)
+        w_tied, w_untied = side_blocks(model, part)
+        w_e = np.concatenate([w_tied, w_untied, np.zeros((d, part.n_d))], axis=1)
+        w_t = np.concatenate([w_tied, np.zeros((d, part.n_d)), w_untied], axis=1)
         noise = np.linalg.inv(model.D)
         cov_zm = np.concatenate([w_e.T, w_t.T], axis=1)
         cov_mm = np.block(
@@ -294,12 +314,10 @@ def test_llr_prior_scaling_invariance(rng):
         session,
         factorizations=session.factorizations,
         ss_branch=tuple(
-            dataclasses.replace(f, log_prior_ss=f.log_prior_ss + shift)
-            for f in session.ss_branch
+            dataclasses.replace(f, log_prior=f.log_prior + shift) for f in session.ss_branch
         ),
         ds_branch=tuple(
-            dataclasses.replace(f, log_prior_ds=f.log_prior_ds + shift)
-            for f in session.ds_branch
+            dataclasses.replace(f, log_prior=f.log_prior + shift) for f in session.ds_branch
         ),
     )
     for _ in range(5):
@@ -312,9 +330,7 @@ def test_llr_all_hypotheses_excluded(rng):
     session = precompute_session(model, PriorConfig.uniform(1))
     broken = dataclasses.replace(
         session,
-        ss_branch=tuple(
-            dataclasses.replace(f, log_prior_ss=-math.inf) for f in session.ss_branch
-        ),
+        ss_branch=tuple(dataclasses.replace(f, log_prior=-math.inf) for f in session.ss_branch),
     )
     with pytest.raises(AllHypothesesExcluded):
         llr(broken, rng.standard_normal(2), rng.standard_normal(2))
@@ -356,11 +372,11 @@ def test_score_trials_matches_per_trial_loop_bitwise(rng):
     assert np.array_equal(batch, loop)
 
 
-def test_score_trials_thread_count_does_not_change_bits(rng):
+def test_score_trials_order_does_not_change_bits(rng):
     session, enroll, test, trials = batch_setup(rng, 503)
-    one = score_trials(session, enroll, test, trials, threads=1)
-    many = score_trials(session, enroll, test, trials, threads=8)
-    assert one.tobytes() == many.tobytes()
+    forward = score_trials(session, enroll, test, trials)
+    backward = score_trials(session, enroll, test, trials[::-1])[::-1]
+    assert forward.tobytes() == backward.tobytes()
 
 
 def test_score_trials_unknown_id(rng):
@@ -369,8 +385,28 @@ def test_score_trials_unknown_id(rng):
         score_trials(session, enroll, test, trials + [("nope", trials[0][1])])
 
 
-def test_score_trials_never_refactorizes(rng):
+def test_llr_rejects_non_finite_input(rng):
+    session, enroll, test, _ = batch_setup(rng, 3)
+    good = next(iter(enroll.values()))
+    for bad in (np.nan, np.inf):
+        vec = good.copy()
+        vec[1] = bad
+        with pytest.raises(NonFinite):
+            llr(session, vec, good)
+        with pytest.raises(NonFinite):
+            llr(session, good, vec)
+
+
+def test_score_trials_names_non_finite_embedding(rng):
+    session, enroll, test, trials = batch_setup(rng, 30)
+    eid = trials[-1][0]
+    enroll = dict(enroll, **{eid: np.full_like(enroll[eid], np.nan)})
+    with pytest.raises(NonFinite, match=f"enroll id '{eid}'"):
+        score_trials(session, enroll, test, trials)
+
+
+def test_score_trials_never_refactorizes(rng, factorizations):
     session, enroll, test, trials = batch_setup(rng, 100)
-    cholesky_counter.reset()
-    score_trials(session, enroll, test, trials, threads=4)
-    assert cholesky_counter.count == 0
+    factorizations.clear()
+    score_trials(session, enroll, test, trials)
+    assert factorizations == []
