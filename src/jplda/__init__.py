@@ -28,6 +28,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     OrphanLatent,
+    SessionTooLarge,
     TruncatedPayload,
     UnknownId,
     ValidationFailed,
@@ -86,6 +87,7 @@ __all__ = [
     "PriorConfig",
     "ScoredTrials",
     "ScoringSession",
+    "SessionTooLarge",
     "SyntheticDataset",
     "TruncatedPayload",
     "UnknownId",

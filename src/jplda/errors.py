@@ -26,6 +26,11 @@ class FactorizationFailed(JpldaError):
     """A per-hypothesis posterior precision could not be factorized."""
 
 
+class SessionTooLarge(JpldaError):
+    """The 2^(N+1) hypotheses of a model would need more memory than a
+    scoring session may hold."""
+
+
 class AllHypothesesExcluded(JpldaError):
     """Every hypothesis in one likelihood-ratio branch has prior zero."""
 

@@ -9,11 +9,27 @@ where h runs over all condition-tie combinations and
     Q = 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log prior(h).
 
 Sigma is the posterior covariance of the stacked trial latents
-[Z_shared; Z_enroll; Z_test] and Phi its information vector. Everything
-that depends only on the hypothesis (the posterior precision, its
-Cholesky factor, the log-determinant, the prior) is computed once per
-session from one Gram matrix W^T D W; a trial costs two projections of
-size R_z plus one gather and one triangular solve per hypothesis.
+[Z_shared; Z_enroll; Z_test] and Phi its information vector. Rotating
+the untied latents to their half sum and half difference splits the
+posterior precision into two blocks, both read out of one Gram matrix
+G = W^T D W::
+
+    K1 = 2G + diag(c)      size R_z, model column order; c is 1 on the
+                           tied columns T and 2 on the untied columns U
+    K2 = 2G[U, U] + 2I     size n_d
+
+With the trial's projections p = W^T D m, s = p_e + p_t and
+delta = p_e - p_t, and L1, L2 the lower Cholesky factors of K1, K2::
+
+    Phi^T Sigma Phi = |L1^-1 s|^2 + |L2^-1 delta[U]|^2
+    0.5 log|Sigma|  = -sum log diag L1 - sum log diag L2 + n_d log 2
+
+A session stacks every hypothesis' L1^-1 into one matrix and every
+L2^-1 (placed in its columns U) into another, so a trial costs two
+projections of size R_z and two matrix-vector products; the squares,
+the per-hypothesis sums and each branch's log-sum-exp are vectorized
+over a block of trials. ``llr`` is the same block function applied to
+one trial, so its score is bitwise that of ``score_trials``.
 """
 
 import math
@@ -22,9 +38,11 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dtrtri
 
-from .errors import AllHypothesesExcluded, FactorizationFailed, NonFinite, UnknownId
+from .errors import (
+    AllHypothesesExcluded, FactorizationFailed, NonFinite, SessionTooLarge, UnknownId,
+)
 from .hypothesis import (
     HypothesisVector,
     Partition,
@@ -48,6 +66,14 @@ __all__ = [
     "score_trials",
 ]
 
+# Largest whitening matrices a session may hold: 24 * 2^N * R_z^2 bytes.
+MAX_WHITENING_BYTES = 1 << 30
+
+# Bound on the whitened rows of one block of trials in ``score_trials``.
+# 256 KiB blocks score as fast as 1 MiB blocks at N = 2 and 4 (d = 200)
+# without raising the peak memory of a scoring run.
+BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class HypothesisFactorization:
@@ -56,25 +82,27 @@ class HypothesisFactorization:
     Attributes:
       hypothesis: the tie flags this factorization belongs to.
       partition: tied/untied factor split.
-      chol: lower Cholesky factor of the posterior precision of
-        [Z_shared; Z_enroll; Z_test], Fortran-ordered, size n_s + 2*n_d.
-      half_log_det_sigma: 0.5 log|Sigma| = -sum(log diag(chol)).
+      half_log_det_sigma: 0.5 log|Sigma| of the stacked trial latents.
       log_prior: log prior of this hypothesis' condition flags in its
         speaker branch (-inf allowed).
-      gather: indices that read Phi out of the stacked projections
-        [p_e + p_t; p_e; p_t] of a trial.
+      whiten_sum: L1^-1 (R_z x R_z), a read-only view into the session's
+        ``w_sum``; |whiten_sum @ s|^2 is the sum part of Phi^T Sigma Phi.
+      whiten_diff: L2^-1 placed in the untied columns (n_d x R_z), a
+        read-only view into ``w_diff``; |whiten_diff @ delta|^2 is the
+        difference part.
     """
 
     hypothesis: HypothesisVector
     partition: Partition
-    chol: np.ndarray
     half_log_det_sigma: float
     log_prior: float
-    gather: np.ndarray
+    whiten_sum: np.ndarray
+    whiten_diff: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.gather)
+        """Length of the stacked latents [Z_shared; Z_enroll; Z_test]."""
+        return self.partition.n_s + 2 * self.partition.n_d
 
 
 @dataclass(frozen=True)
@@ -90,7 +118,11 @@ class ScoringSession:
     """Immutable bundle of a model plus all 2^(N+1) hypothesis factorizations.
 
     Build once with :func:`precompute_session`, then score any number of
-    trials; all members are read-only.
+    trials; all members are read-only. ``w_sum`` stacks R_z rows per
+    hypothesis and ``w_diff`` max(n_d, 1) rows per hypothesis, both in
+    the order ``ss_branch + ds_branch``; ``diff_starts`` holds each
+    hypothesis' first row in ``w_diff``. A hypothesis with n_d = 0 gets
+    one zero row, since ``np.add.reduceat`` sums no empty segment.
     """
 
     model: ModelParams
@@ -99,6 +131,9 @@ class ScoringSession:
     dw: np.ndarray
     ss_branch: tuple
     ds_branch: tuple
+    w_sum: np.ndarray
+    w_diff: np.ndarray
+    diff_starts: np.ndarray
 
     def project(self, centered: np.ndarray) -> np.ndarray:
         """All factor loadings' noise-weighted projections W^T D m of one
@@ -119,6 +154,8 @@ def build_k_sum(gram: np.ndarray, partition: Partition) -> np.ndarray:
 
     The result is exactly symmetric and positive definite for any valid
     model: the identity blocks come from the unit prior on the latents.
+    Scoring factorizes the rotated blocks K1, K2 instead (see the module
+    docstring); this full form serves ``posterior_moments``.
     """
     n_s, n_d = partition.n_s, partition.n_d
     cols = np.concatenate((partition.tied_cols, partition.untied_cols, partition.untied_cols))
@@ -130,17 +167,32 @@ def build_k_sum(gram: np.ndarray, partition: Partition) -> np.ndarray:
     return k
 
 
-def _cholesky_lower(k: np.ndarray, hypothesis: HypothesisVector) -> np.ndarray:
+def _gram(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """The symmetrized Gram matrix W^T D W from W and D W."""
+    gram = w.T @ dw
+    return 0.5 * (gram + gram.T)
+
+
+def _cholesky_lower(k: tuple, hypothesis: HypothesisVector) -> tuple:
+    """Lower Cholesky factors of one hypothesis' block pair (K1, K2)."""
     try:
-        chol = sla.cholesky(k, lower=True)
+        return tuple(sla.cholesky(block, lower=True) for block in k)
     except (sla.LinAlgError, ValueError) as exc:
         raise FactorizationFailed(
             f"posterior precision for hypothesis {hypothesis} is not positive "
             "definite; check the model's noise precision"
         ) from exc
-    chol = np.asfortranarray(chol)
-    chol.setflags(write=False)
-    return chol
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    # K >= I bounds |L^-1|_2 by 1, so applying the explicit inverse is as
+    # stable as a triangular solve.
+    if chol.shape[0] == 0:
+        return chol
+    inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise FactorizationFailed(f"triangular inverse failed (LAPACK info {info})")
+    return inv
 
 
 def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSession:
@@ -148,6 +200,9 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
 
     Raises:
       NonFinite, DimensionMismatch, ...: the model fails ``validate``.
+      SessionTooLarge: the whitening matrices, 24 * 2^N * R_z^2 bytes,
+        would exceed ``MAX_WHITENING_BYTES``; checked before anything is
+        allocated or factorized.
       FactorizationFailed: some posterior precision was not numerically
         SPD (overflowing or otherwise broken model parameters).
     """
@@ -156,45 +211,69 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         raise ValueError(
             f"priors cover {priors.n_conditions} conditions, model has {model.n_conditions}"
         )
+    n_cond, r_z = model.n_conditions, model.r_z
+    size = 24 * 2**n_cond * r_z**2
+    if size > MAX_WHITENING_BYTES:
+        raise SessionTooLarge(
+            f"N={n_cond} conditions and R_z={r_z} latents need {size} bytes of "
+            f"whitening matrices, above the limit of {MAX_WHITENING_BYTES} bytes"
+        )
     w = stack_w(model)
     dw = model.D @ w
     dw.setflags(write=False)
-    gram = w.T @ dw
-    gram = 0.5 * (gram + gram.T)
-    r_z = w.shape[1]
+    gram2 = 2.0 * _gram(w, dw)
 
-    cond_hyps = enumerate_condition_hypotheses(model.n_conditions)
+    cond_hyps = enumerate_condition_hypotheses(n_cond)
+    hyps = [HypothesisVector(spk, c) for spk in (True, False) for c in cond_hyps]
+    parts = [partition_factors(model, h) for h in hyps]
+    diff_rows = [max(part.n_d, 1) for part in parts]
+    diff_starts = np.cumsum([0] + diff_rows[:-1])
+    w_sum = np.empty((len(hyps) * r_z, r_z))
+    w_diff = np.zeros((sum(diff_rows), r_z))
     facts = {}
-    for speaker_tied in (True, False):
-        for cond in cond_hyps:
-            h = HypothesisVector(speaker_tied, cond)
-            part = partition_factors(model, h)
-            chol = _cholesky_lower(build_k_sum(gram, part), h)
-            gather = np.concatenate(
-                (part.tied_cols, r_z + part.untied_cols, 2 * r_z + part.untied_cols)
-            )
-            gather.setflags(write=False)
-            facts[h] = HypothesisFactorization(
-                hypothesis=h,
-                partition=part,
-                chol=chol,
-                half_log_det_sigma=-float(np.sum(np.log(np.diag(chol)))),
-                log_prior=hypothesis_log_prior(h, priors),
-                gather=gather,
-            )
+    for i, (h, part) in enumerate(zip(hyps, parts)):
+        u = part.untied_cols
+        k1 = gram2.copy()
+        k1[np.diag_indices(r_z)] += 1.0
+        k1[u, u] += 1.0
+        k2 = gram2[np.ix_(u, u)]
+        k2[np.diag_indices(part.n_d)] += 2.0
+        l1, l2 = _cholesky_lower((k1, k2), h)
+        sum_rows = w_sum[i * r_z : (i + 1) * r_z]
+        sum_rows[:] = _lower_inverse(l1)
+        diff_block = w_diff[diff_starts[i] : diff_starts[i] + part.n_d]
+        diff_block[:, u] = _lower_inverse(l2)
+        sum_rows.setflags(write=False)
+        diff_block.setflags(write=False)
+        log_diag = np.sum(np.log(np.diag(l1))) + np.sum(np.log(np.diag(l2)))
+        facts[h] = HypothesisFactorization(
+            hypothesis=h,
+            partition=part,
+            half_log_det_sigma=part.n_d * math.log(2.0) - float(log_diag),
+            log_prior=hypothesis_log_prior(h, priors),
+            whiten_sum=sum_rows,
+            whiten_diff=diff_block,
+        )
+    for a in (w_sum, w_diff, diff_starts):
+        a.setflags(write=False)
     return ScoringSession(
         model=model,
         priors=priors,
         factorizations=MappingProxyType(facts),
         dw=dw,
-        ss_branch=tuple(facts[HypothesisVector(True, c)] for c in cond_hyps),
-        ds_branch=tuple(facts[HypothesisVector(False, c)] for c in cond_hyps),
+        ss_branch=tuple(facts[h] for h in hyps[: len(cond_hyps)]),
+        ds_branch=tuple(facts[h] for h in hyps[len(cond_hyps) :]),
+        w_sum=w_sum,
+        w_diff=w_diff,
+        diff_starts=diff_starts,
     )
 
 
-def _stack_projections(proj_e, proj_t) -> np.ndarray:
-    """[p_e + p_t; p_e; p_t], the vector every hypothesis' Phi is gathered from."""
-    return np.concatenate((proj_e + proj_t, proj_e, proj_t))
+def _projections(session: ScoringSession, m_enroll, m_test) -> tuple:
+    return (
+        session.project(np.asarray(m_enroll, dtype=np.float64)),
+        session.project(np.asarray(m_test, dtype=np.float64)),
+    )
 
 
 def compute_phi(session: ScoringSession, h: HypothesisVector, m_enroll, m_test) -> np.ndarray:
@@ -202,18 +281,10 @@ def compute_phi(session: ScoringSession, h: HypothesisVector, m_enroll, m_test) 
 
     Both inputs must already be centered (mean subtracted).
     """
-    proj_e = session.project(np.asarray(m_enroll, dtype=np.float64))
-    proj_t = session.project(np.asarray(m_test, dtype=np.float64))
-    return _stack_projections(proj_e, proj_t)[session.factorizations[h].gather]
-
-
-def _q_value(fact: HypothesisFactorization, stacked: np.ndarray) -> float:
-    if fact.log_prior == -math.inf:
-        return -math.inf
-    if fact.size == 0:
-        return fact.log_prior
-    x = dtrsv(fact.chol, stacked[fact.gather], lower=1)
-    return fact.half_log_det_sigma + 0.5 * float(x @ x) + fact.log_prior
+    part = session.factorizations[h].partition
+    proj_e, proj_t = _projections(session, m_enroll, m_test)
+    u = part.untied_cols
+    return np.concatenate(((proj_e + proj_t)[part.tied_cols], proj_e[u], proj_t[u]))
 
 
 def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> float:
@@ -223,9 +294,12 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
     -inf when the hypothesis prior is zero.
     """
     fact = session.factorizations[HypothesisVector(speaker_tied, tuple(h))]
-    proj_e = session.project(np.asarray(m_enroll, dtype=np.float64))
-    proj_t = session.project(np.asarray(m_test, dtype=np.float64))
-    return _q_value(fact, _stack_projections(proj_e, proj_t))
+    if fact.log_prior == -math.inf:
+        return -math.inf
+    proj_e, proj_t = _projections(session, m_enroll, m_test)
+    x = fact.whiten_sum @ (proj_e + proj_t)
+    y = fact.whiten_diff @ (proj_e - proj_t)
+    return fact.half_log_det_sigma + 0.5 * float(x @ x + y @ y) + fact.log_prior
 
 
 def posterior_moments(
@@ -233,8 +307,8 @@ def posterior_moments(
 ) -> PosteriorMoments:
     """Posterior mean Sigma*Phi and covariance Sigma of the trial latents.
 
-    Inputs must be centered. The mean costs two triangular solves; the
-    covariance is the inverse posterior precision.
+    Inputs must be centered. A diagnostic path: it rebuilds and factorizes
+    this hypothesis' full posterior precision on every call.
     """
     hv = HypothesisVector(speaker_tied, tuple(h))
     fact = session.factorizations[hv]
@@ -242,32 +316,55 @@ def posterior_moments(
     n = fact.size
     if n == 0:
         return PosteriorMoments(z_hat=np.zeros(0), sigma=np.zeros((0, 0)))
-    x = dtrsv(fact.chol, phi, lower=1)
-    z_hat = dtrsv(fact.chol, x, lower=1, trans=1)
-    sigma = sla.cho_solve((fact.chol, True), np.eye(n))
+    k = build_k_sum(_gram(stack_w(session.model), session.dw), fact.partition)
+    factor = sla.cho_factor(k, lower=True)
+    sigma = sla.cho_solve(factor, np.eye(n))
     sigma = 0.5 * (sigma + sigma.T)
-    return PosteriorMoments(z_hat=z_hat, sigma=sigma)
+    return PosteriorMoments(z_hat=sla.cho_solve(factor, phi), sigma=sigma)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = np.max(values)
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(values - m))))
+def _hypothesis_offsets(session: ScoringSession) -> np.ndarray:
+    """0.5 log|Sigma| + log prior per hypothesis, one row per speaker branch.
+
+    Raises AllHypothesesExcluded when a whole branch has prior zero.
+    """
+    rows = [
+        [f.half_log_det_sigma + f.log_prior for f in branch]
+        for branch in (session.ss_branch, session.ds_branch)
+    ]
+    for row, name in zip(rows, ("same-speaker", "different-speaker")):
+        if max(row) == -math.inf:
+            raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
+    return np.array(rows)
 
 
-def _branch_logsumexp(branch, stacked: np.ndarray, name: str) -> float:
-    total = _logsumexp(np.array([_q_value(fact, stacked) for fact in branch]))
-    if total == -math.inf:
-        raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
-    return total
+def _score_block(session: ScoringSession, offsets, proj_e, proj_t) -> np.ndarray:
+    """LLRs of the trials whose projections are the rows of proj_e / proj_t.
 
-
-def _llr_from_projections(session: ScoringSession, proj_e, proj_t) -> float:
-    stacked = _stack_projections(proj_e, proj_t)
-    num = _branch_logsumexp(session.ss_branch, stacked, "same-speaker")
-    den = _branch_logsumexp(session.ds_branch, stacked, "different-speaker")
-    return num - den
+    Every trial gets its own two matrix-vector products, written into
+    rows allocated up front; every reduction runs along a contiguous
+    axis whose length does not depend on the block, and exp and log see
+    whole contiguous arrays. So a trial's score has the same bits in a
+    block of any size. Overflow shows up as NaN, which the callers turn
+    into NonFinite.
+    """
+    n, r_z = proj_e.shape
+    ws = np.empty((n, session.w_sum.shape[0]))
+    wd = np.empty((n, session.w_diff.shape[0]))
+    with np.errstate(all="ignore"):
+        s = proj_e + proj_t
+        delta = proj_e - proj_t
+        for i in range(n):
+            np.dot(session.w_sum, s[i], out=ws[i])
+            np.dot(session.w_diff, delta[i], out=wd[i])
+        np.multiply(ws, ws, out=ws)
+        np.multiply(wd, wd, out=wd)
+        quad = ws.reshape(n, offsets.size, r_z).sum(axis=2)
+        quad += np.add.reduceat(wd, session.diff_starts, axis=1)
+        q = offsets + 0.5 * quad.reshape((n,) + offsets.shape)
+        top = q.max(axis=2)
+        lse = top + np.log(np.exp(q - top[..., None]).sum(axis=2))
+        return lse[:, 0] - lse[:, 1]
 
 
 def _project_raw(session: ScoringSession, m, what: str = "input vector") -> np.ndarray:
@@ -284,20 +381,27 @@ def llr(session: ScoringSession, m_enroll, m_test) -> float:
 
     Raises:
       AllHypothesesExcluded: one branch has zero total prior.
-      NonFinite: an input holds a NaN or an infinity.
+      NonFinite: an input holds a NaN or an infinity, or the score is NaN
+        because the trial's whitened projections overflowed.
     """
-    return _llr_from_projections(
-        session, _project_raw(session, m_enroll), _project_raw(session, m_test)
+    proj_e = _project_raw(session, m_enroll)
+    proj_t = _project_raw(session, m_test)
+    score = float(
+        _score_block(session, _hypothesis_offsets(session), proj_e[None, :], proj_t[None, :])[0]
     )
+    if math.isnan(score):
+        raise NonFinite("the score is NaN: the trial's whitened projections overflowed")
+    return score
 
 
 def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     """Score a list of (enroll_id, test_id) pairs against embedding tables.
 
     Projections are computed once per referenced id; the per-hypothesis
-    factorizations come from the session, so no Cholesky runs here. The
-    output order matches the input order, and every score is bitwise
-    equal to ``llr`` on the pair.
+    whitening matrices come from the session, so no Cholesky runs here.
+    Trials are scored in blocks whose whitened rows take at most
+    ``BLOCK_BYTES``. The output order matches the input order, and every
+    score is bitwise equal to ``llr`` on the pair.
 
     Args:
       enroll / test: mappings from id to raw embedding vector.
@@ -305,7 +409,9 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
 
     Raises:
       UnknownId: a trial references an id absent from its table.
-      NonFinite: a referenced embedding holds a NaN or an infinity.
+      NonFinite: a referenced embedding holds a NaN or an infinity, or a
+        trial's score is NaN (overflow); the message names the ids.
+      AllHypothesesExcluded: one branch has zero total prior.
     """
     trials = [(e, t) for e, t in trials]
     proj_e, proj_t = {}, {}
@@ -320,6 +426,20 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
             proj_t[tid] = _project_raw(session, test[tid], f"test id {tid!r}")
 
     out = np.empty(len(trials))
-    for i, (eid, tid) in enumerate(trials):
-        out[i] = _llr_from_projections(session, proj_e[eid], proj_t[tid])
+    if not trials:
+        return out
+    offsets = _hypothesis_offsets(session)
+    row_bytes = 8 * (session.w_sum.shape[0] + session.w_diff.shape[0])
+    block = max(1, BLOCK_BYTES // row_bytes)
+    for a in range(0, len(trials), block):
+        chunk = trials[a : a + block]
+        block_e = np.array([proj_e[e] for e, _ in chunk])
+        block_t = np.array([proj_t[t] for _, t in chunk])
+        out[a : a + len(chunk)] = _score_block(session, offsets, block_e, block_t)
+    nan = np.flatnonzero(np.isnan(out))
+    if nan.size:
+        eid, tid = trials[nan[0]]
+        raise NonFinite(
+            f"the score of trial ({eid!r}, {tid!r}) is NaN: its whitened projections overflowed"
+        )
     return out

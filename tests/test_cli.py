@@ -120,6 +120,17 @@ def test_score_nan_embedding_exits_1(pipeline, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_score_overflowing_embedding_exits_1(pipeline, tmp_path, capsys):
+    emb = io.load_embeddings(pipeline["emb"])
+    eid, tid, _ = io.load_trials(pipeline["trials"])[0]
+    emb[eid] = np.full_like(emb[eid], 1e200)
+    io.save_embeddings(tmp_path / "huge.tsv", emb)
+    assert run_score(dict(pipeline, emb=tmp_path / "huge.tsv")) == 1
+    err = capsys.readouterr().err
+    assert f"({eid!r}, {tid!r}) is NaN" in err
+
+
 def test_score_exit_2_when_branch_excluded(pipeline, monkeypatch):
     import jplda.cli as cli
     from jplda.errors import AllHypothesesExcluded

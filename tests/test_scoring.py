@@ -12,6 +12,7 @@ from jplda import (
     ModelParams,
     NonFinite,
     PriorConfig,
+    SessionTooLarge,
     UnknownId,
     build_k_sum,
     collapse_to_plda,
@@ -24,6 +25,7 @@ from jplda import (
     precompute_session,
     q_term,
     score_trials,
+    scoring,
     stack_w,
 )
 from jplda.oracle import gaussian_llr_oracle, marginal_cov
@@ -83,6 +85,8 @@ def test_k_sum_no_untied_block(rng):
 
 
 def test_session_counts_and_reconstruction(rng, factorizations):
+    # each hypothesis' two whitening blocks reproduce the log-determinant
+    # and the quadratic form of its full posterior precision
     for n_cond, expected in ((2, 8), (0, 2)):
         r_x = (1, 2)[:n_cond]
         model = random_model(rng, 4, 2, r_x)
@@ -90,11 +94,25 @@ def test_session_counts_and_reconstruction(rng, factorizations):
         session = precompute_session(model, PriorConfig.uniform(n_cond))
         assert len(session.factorizations) == expected
         assert len(factorizations) == expected
+        m_e, m_t = rng.standard_normal(4), rng.standard_normal(4)
+        p_e, p_t = session.project(m_e), session.project(m_t)
         for h, fact in session.factorizations.items():
             k = build_k_sum(gram(model), fact.partition)
-            recon = fact.chol @ fact.chol.T
-            np.testing.assert_allclose(recon, k, rtol=1e-8, atol=1e-12)
-            assert math.isfinite(fact.half_log_det_sigma)
+            sign, logdet = np.linalg.slogdet(k)
+            assert sign == 1.0
+            assert fact.half_log_det_sigma == pytest.approx(-0.5 * logdet, rel=1e-10)
+            phi = compute_phi(session, h, m_e, m_t)
+            x = fact.whiten_sum @ (p_e + p_t)
+            y = fact.whiten_diff @ (p_e - p_t)
+            assert x @ x + y @ y == pytest.approx(phi @ np.linalg.solve(k, phi), rel=1e-10)
+
+
+def test_session_size_guard_runs_before_factorizing(rng, factorizations, monkeypatch):
+    model = random_model(rng, 4, 2, (1, 2))
+    monkeypatch.setattr(scoring, "MAX_WHITENING_BYTES", 24 * 4 * 5**2 - 1)
+    with pytest.raises(SessionTooLarge, match=r"N=2 .*R_z=5 .*2400 bytes"):
+        precompute_session(model, PriorConfig.uniform(2))
+    assert factorizations == []
 
 
 def test_session_names_nan_loadings():
@@ -365,15 +383,32 @@ def test_score_trials_single_equals_llr(rng):
     assert got[0] == llr(session, enroll[eid], test[tid])
 
 
-def test_score_trials_matches_per_trial_loop_bitwise(rng):
+BLOCK_BOUNDS = [
+    pytest.param(None, id="default-bound"),
+    pytest.param(3, id="3-trials-per-block"),
+]
+
+
+def set_trials_per_block(monkeypatch, session, trials_per_block):
+    """Shrink score_trials' byte bound to a given number of trials per block."""
+    if trials_per_block is not None:
+        row_bytes = 8 * (session.w_sum.shape[0] + session.w_diff.shape[0])
+        monkeypatch.setattr(scoring, "BLOCK_BYTES", trials_per_block * row_bytes)
+
+
+@pytest.mark.parametrize("trials_per_block", BLOCK_BOUNDS)
+def test_score_trials_matches_per_trial_loop_bitwise(rng, monkeypatch, trials_per_block):
     session, enroll, test, trials = batch_setup(rng, 500)
+    set_trials_per_block(monkeypatch, session, trials_per_block)
     batch = score_trials(session, enroll, test, trials)
     loop = np.array([llr(session, enroll[e], test[t]) for e, t in trials])
     assert np.array_equal(batch, loop)
 
 
-def test_score_trials_order_does_not_change_bits(rng):
+@pytest.mark.parametrize("trials_per_block", BLOCK_BOUNDS)
+def test_score_trials_order_does_not_change_bits(rng, monkeypatch, trials_per_block):
     session, enroll, test, trials = batch_setup(rng, 503)
+    set_trials_per_block(monkeypatch, session, trials_per_block)
     forward = score_trials(session, enroll, test, trials)
     backward = score_trials(session, enroll, test, trials[::-1])[::-1]
     assert forward.tobytes() == backward.tobytes()
@@ -402,6 +437,23 @@ def test_score_trials_names_non_finite_embedding(rng):
     eid = trials[-1][0]
     enroll = dict(enroll, **{eid: np.full_like(enroll[eid], np.nan)})
     with pytest.raises(NonFinite, match=f"enroll id '{eid}'"):
+        score_trials(session, enroll, test, trials)
+
+
+@pytest.mark.filterwarnings("error")
+def test_llr_overflow_raises_non_finite(rng):
+    session, _, _, _ = batch_setup(rng, 3)
+    huge = np.full(session.model.d, 1e200)
+    with pytest.raises(NonFinite, match="NaN"):
+        llr(session, huge, huge)
+
+
+@pytest.mark.filterwarnings("error")
+def test_score_trials_names_overflowing_trial(rng):
+    session, enroll, test, trials = batch_setup(rng, 30)
+    eid, tid = trials[0]
+    enroll = dict(enroll, **{eid: np.full_like(enroll[eid], 1e200)})
+    with pytest.raises(NonFinite, match=f"trial \\('{eid}', '{tid}'\\) is NaN"):
         score_trials(session, enroll, test, trials)
 
 
