@@ -38,7 +38,7 @@ priors = PriorConfig(p_same_given_ss=(0.8, 0.7), p_same_given_ds=(0.2, 0.3))
 session = precompute_session(model, priors)
 
 print(f"model: d={model.d}, R_y={model.r_y}, conditions={model.r_x}")
-print(f"hypotheses per speaker branch: {len(session.ss_branch)}")
+print(f"hypotheses per speaker branch: {len(session.factorizations) // 2}")
 
 # ground truth for this demo trial: same speaker, same condition 1,
 # different condition 2

@@ -45,7 +45,6 @@ from .hypothesis import (
 from .metrics import ScoredTrials, calibration_identity, eer
 from .model import ModelParams, collapse_to_plda, stack_w, validate
 from .scoring import (
-    HypothesisFactorization,
     PosteriorMoments,
     ScoringSession,
     build_k_sum,
@@ -71,7 +70,6 @@ __all__ = [
     "BadMagic",
     "DimensionMismatch",
     "FactorizationFailed",
-    "HypothesisFactorization",
     "HypothesisVector",
     "JpldaError",
     "MalformedFile",

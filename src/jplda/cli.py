@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on any usage or input problem (the message
 goes to stderr), 2 when one likelihood-ratio branch has zero total
-prior (AllHypothesesExcluded).
+prior (AllHypothesesExcluded). A valid PriorConfig gives each branch
+total prior 1, so only a session whose ``log_prior`` was replaced can
+reach exit code 2.
 """
 
 import argparse

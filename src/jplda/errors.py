@@ -6,7 +6,8 @@ class JpldaError(Exception):
 
 
 class DimensionMismatch(JpldaError):
-    """Model matrices disagree on a shared dimension."""
+    """Model matrices disagree on a shared dimension, or an input vector's
+    length is not the model's dimension d."""
 
 
 class NonFinite(JpldaError):

@@ -121,6 +121,15 @@ def load_model(path) -> ModelParams:
 # text tables ------------------------------------------------------------
 
 
+def _tsv_rows(path):
+    """Yield (line number from 1, tab-separated fields) for each non-blank line."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line.split("\t")
+
+
 def save_embeddings(path, embeddings) -> None:
     """Write id<TAB>float... rows from a mapping of id to vector."""
     with open(path, "w", encoding="utf-8") as f:
@@ -133,28 +142,23 @@ def load_embeddings(path) -> dict:
     """Read an embedding table into an ordered id -> vector mapping."""
     out = {}
     width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            name = fields[0]
-            if not name:
-                raise MalformedFile(f"{path}:{lineno}: empty id")
-            if name in out:
-                raise MalformedFile(f"{path}:{lineno}: duplicate id {name!r}")
-            try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{lineno}: bad float ({exc})") from exc
-            if width is None:
-                width = vec.size
-            elif vec.size != width:
-                raise MalformedFile(
-                    f"{path}:{lineno}: row has {vec.size} values, expected {width}"
-                )
-            out[name] = vec
+    for lineno, fields in _tsv_rows(path):
+        name = fields[0]
+        if not name:
+            raise MalformedFile(f"{path}:{lineno}: empty id")
+        if name in out:
+            raise MalformedFile(f"{path}:{lineno}: duplicate id {name!r}")
+        try:
+            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: bad float ({exc})") from exc
+        if width is None:
+            width = vec.size
+        elif vec.size != width:
+            raise MalformedFile(
+                f"{path}:{lineno}: row has {vec.size} values, expected {width}"
+            )
+        out[name] = vec
     return out
 
 
@@ -175,22 +179,17 @@ def load_trials(path) -> list:
     maps to True / False.
     """
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) == 2:
-                out.append((fields[0], fields[1], None))
-            elif len(fields) == 3:
-                if fields[2] not in ("target", "nontarget"):
-                    raise MalformedFile(
-                        f"{path}:{lineno}: label must be target or nontarget, got {fields[2]!r}"
-                    )
-                out.append((fields[0], fields[1], fields[2] == "target"))
-            else:
-                raise MalformedFile(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+    for lineno, fields in _tsv_rows(path):
+        if len(fields) == 2:
+            out.append((fields[0], fields[1], None))
+        elif len(fields) == 3:
+            if fields[2] not in ("target", "nontarget"):
+                raise MalformedFile(
+                    f"{path}:{lineno}: label must be target or nontarget, got {fields[2]!r}"
+                )
+            out.append((fields[0], fields[1], fields[2] == "target"))
+        else:
+            raise MalformedFile(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
     return out
 
 
@@ -263,18 +262,13 @@ def save_scores(path, trials, scores) -> None:
 def load_scores(path) -> list:
     """Read score rows as (enroll_id, test_id, score) tuples."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedFile(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                out.append((fields[0], fields[1], float(fields[2])))
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{lineno}: bad score ({exc})") from exc
+    for lineno, fields in _tsv_rows(path):
+        if len(fields) != 3:
+            raise MalformedFile(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            out.append((fields[0], fields[1], float(fields[2])))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: bad score ({exc})") from exc
     return out
 
 

@@ -24,12 +24,14 @@ delta = p_e - p_t, and L1, L2 the lower Cholesky factors of K1, K2::
     Phi^T Sigma Phi = |L1^-1 s|^2 + |L2^-1 delta[U]|^2
     0.5 log|Sigma|  = -sum log diag L1 - sum log diag L2 + n_d log 2
 
-A session stacks every hypothesis' L1^-1 into one matrix and every
-L2^-1 (placed in its columns U) into another, so a trial costs two
-projections of size R_z and two matrix-vector products; the squares,
-the per-hypothesis sums and each branch's log-sum-exp are vectorized
-over a block of trials. ``llr`` is the same block function applied to
-one trial, so its score is bitwise that of ``score_trials``.
+A session holds each hypothesis' state once, in arrays indexed by its
+position (see ``ScoringSession``): every L1^-1 stacked into one matrix
+and every L2^-1 (placed in its columns U) into another. A trial costs
+two projections of size R_z and two matrix-vector products; the
+squares, the per-hypothesis sums and each branch's log-sum-exp are
+vectorized over a block of trials. ``llr`` and ``q_term`` apply the
+same block function to one trial, so their Q terms are bitwise those
+of ``score_trials``.
 """
 
 import math
@@ -41,7 +43,8 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtri
 
 from .errors import (
-    AllHypothesesExcluded, FactorizationFailed, NonFinite, SessionTooLarge, UnknownId,
+    AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
+    UnknownId,
 )
 from .hypothesis import (
     HypothesisVector,
@@ -54,7 +57,6 @@ from .hypothesis import (
 from .model import ModelParams, stack_w, validate
 
 __all__ = [
-    "HypothesisFactorization",
     "ScoringSession",
     "PosteriorMoments",
     "build_k_sum",
@@ -76,36 +78,6 @@ BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
-class HypothesisFactorization:
-    """Everything trial-independent about one full hypothesis.
-
-    Attributes:
-      hypothesis: the tie flags this factorization belongs to.
-      partition: tied/untied factor split.
-      half_log_det_sigma: 0.5 log|Sigma| of the stacked trial latents.
-      log_prior: log prior of this hypothesis' condition flags in its
-        speaker branch (-inf allowed).
-      whiten_sum: L1^-1 (R_z x R_z), a read-only view into the session's
-        ``w_sum``; |whiten_sum @ s|^2 is the sum part of Phi^T Sigma Phi.
-      whiten_diff: L2^-1 placed in the untied columns (n_d x R_z), a
-        read-only view into ``w_diff``; |whiten_diff @ delta|^2 is the
-        difference part.
-    """
-
-    hypothesis: HypothesisVector
-    partition: Partition
-    half_log_det_sigma: float
-    log_prior: float
-    whiten_sum: np.ndarray
-    whiten_diff: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Length of the stacked latents [Z_shared; Z_enroll; Z_test]."""
-        return self.partition.n_s + 2 * self.partition.n_d
-
-
-@dataclass(frozen=True)
 class PosteriorMoments:
     """Posterior mean and covariance of the stacked trial latents."""
 
@@ -118,19 +90,22 @@ class ScoringSession:
     """Immutable bundle of a model plus all 2^(N+1) hypothesis factorizations.
 
     Build once with :func:`precompute_session`, then score any number of
-    trials; all members are read-only. ``w_sum`` stacks R_z rows per
-    hypothesis and ``w_diff`` max(n_d, 1) rows per hypothesis, both in
-    the order ``ss_branch + ds_branch``; ``diff_starts`` holds each
-    hypothesis' first row in ``w_diff``. A hypothesis with n_d = 0 gets
-    one zero row, since ``np.add.reduceat`` sums no empty segment.
+    trials; all members are read-only. ``factorizations`` maps each
+    ``HypothesisVector`` to its position i: same-speaker branch first,
+    each branch in ``enumerate_condition_hypotheses`` order. Indexed by
+    i are ``half_log_det_sigma`` (0.5 log|Sigma|), ``log_prior`` (-inf
+    allowed), L1^-1 in rows i*R_z to (i+1)*R_z of ``w_sum``, and L2^-1,
+    placed in the untied columns, in max(n_d, 1) rows of ``w_diff``
+    from ``diff_starts[i]``. A hypothesis with n_d = 0 gets one zero
+    row, since ``np.add.reduceat`` sums no empty segment.
     """
 
     model: ModelParams
     priors: PriorConfig
     factorizations: MappingProxyType
+    half_log_det_sigma: np.ndarray
+    log_prior: np.ndarray
     dw: np.ndarray
-    ss_branch: tuple
-    ds_branch: tuple
     w_sum: np.ndarray
     w_diff: np.ndarray
     diff_starts: np.ndarray
@@ -230,7 +205,7 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     diff_starts = np.cumsum([0] + diff_rows[:-1])
     w_sum = np.empty((len(hyps) * r_z, r_z))
     w_diff = np.zeros((sum(diff_rows), r_z))
-    facts = {}
+    half_log_det_sigma = np.empty(len(hyps))
     for i, (h, part) in enumerate(zip(hyps, parts)):
         u = part.untied_cols
         k1 = gram2.copy()
@@ -239,30 +214,20 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         k2 = gram2[np.ix_(u, u)]
         k2[np.diag_indices(part.n_d)] += 2.0
         l1, l2 = _cholesky_lower((k1, k2), h)
-        sum_rows = w_sum[i * r_z : (i + 1) * r_z]
-        sum_rows[:] = _lower_inverse(l1)
-        diff_block = w_diff[diff_starts[i] : diff_starts[i] + part.n_d]
-        diff_block[:, u] = _lower_inverse(l2)
-        sum_rows.setflags(write=False)
-        diff_block.setflags(write=False)
+        w_sum[i * r_z : (i + 1) * r_z] = _lower_inverse(l1)
+        w_diff[diff_starts[i] : diff_starts[i] + part.n_d, u] = _lower_inverse(l2)
         log_diag = np.sum(np.log(np.diag(l1))) + np.sum(np.log(np.diag(l2)))
-        facts[h] = HypothesisFactorization(
-            hypothesis=h,
-            partition=part,
-            half_log_det_sigma=part.n_d * math.log(2.0) - float(log_diag),
-            log_prior=hypothesis_log_prior(h, priors),
-            whiten_sum=sum_rows,
-            whiten_diff=diff_block,
-        )
-    for a in (w_sum, w_diff, diff_starts):
+        half_log_det_sigma[i] = part.n_d * math.log(2.0) - float(log_diag)
+    log_prior = np.array([hypothesis_log_prior(h, priors) for h in hyps])
+    for a in (half_log_det_sigma, log_prior, w_sum, w_diff, diff_starts):
         a.setflags(write=False)
     return ScoringSession(
         model=model,
         priors=priors,
-        factorizations=MappingProxyType(facts),
+        factorizations=MappingProxyType({h: i for i, h in enumerate(hyps)}),
+        half_log_det_sigma=half_log_det_sigma,
+        log_prior=log_prior,
         dw=dw,
-        ss_branch=tuple(facts[h] for h in hyps[: len(cond_hyps)]),
-        ds_branch=tuple(facts[h] for h in hyps[len(cond_hyps) :]),
         w_sum=w_sum,
         w_diff=w_diff,
         diff_starts=diff_starts,
@@ -281,7 +246,7 @@ def compute_phi(session: ScoringSession, h: HypothesisVector, m_enroll, m_test) 
 
     Both inputs must already be centered (mean subtracted).
     """
-    part = session.factorizations[h].partition
+    part = partition_factors(session.model, h)
     proj_e, proj_t = _projections(session, m_enroll, m_test)
     u = part.untied_cols
     return np.concatenate(((proj_e + proj_t)[part.tied_cols], proj_e[u], proj_t[u]))
@@ -291,15 +256,12 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
     """One hypothesis' contribution 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log prior.
 
     ``h`` is the condition-tie vector; inputs must be centered. Returns
-    -inf when the hypothesis prior is zero.
+    -inf when the hypothesis prior is zero. The value is bitwise the term
+    that ``llr`` sums for the same projections.
     """
-    fact = session.factorizations[HypothesisVector(speaker_tied, tuple(h))]
-    if fact.log_prior == -math.inf:
-        return -math.inf
+    i = session.factorizations[HypothesisVector(speaker_tied, tuple(h))]
     proj_e, proj_t = _projections(session, m_enroll, m_test)
-    x = fact.whiten_sum @ (proj_e + proj_t)
-    y = fact.whiten_diff @ (proj_e - proj_t)
-    return fact.half_log_det_sigma + 0.5 * float(x @ x + y @ y) + fact.log_prior
+    return float(_q_block(session, proj_e[None, :], proj_t[None, :]).reshape(-1)[i])
 
 
 def posterior_moments(
@@ -311,44 +273,30 @@ def posterior_moments(
     this hypothesis' full posterior precision on every call.
     """
     hv = HypothesisVector(speaker_tied, tuple(h))
-    fact = session.factorizations[hv]
+    part = partition_factors(session.model, hv)
     phi = compute_phi(session, hv, m_enroll, m_test)
-    n = fact.size
+    n = phi.size
     if n == 0:
         return PosteriorMoments(z_hat=np.zeros(0), sigma=np.zeros((0, 0)))
-    k = build_k_sum(_gram(stack_w(session.model), session.dw), fact.partition)
+    k = build_k_sum(_gram(stack_w(session.model), session.dw), part)
     factor = sla.cho_factor(k, lower=True)
     sigma = sla.cho_solve(factor, np.eye(n))
     sigma = 0.5 * (sigma + sigma.T)
     return PosteriorMoments(z_hat=sla.cho_solve(factor, phi), sigma=sigma)
 
 
-def _hypothesis_offsets(session: ScoringSession) -> np.ndarray:
-    """0.5 log|Sigma| + log prior per hypothesis, one row per speaker branch.
-
-    Raises AllHypothesesExcluded when a whole branch has prior zero.
-    """
-    rows = [
-        [f.half_log_det_sigma + f.log_prior for f in branch]
-        for branch in (session.ss_branch, session.ds_branch)
-    ]
-    for row, name in zip(rows, ("same-speaker", "different-speaker")):
-        if max(row) == -math.inf:
-            raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
-    return np.array(rows)
-
-
-def _score_block(session: ScoringSession, offsets, proj_e, proj_t) -> np.ndarray:
-    """LLRs of the trials whose projections are the rows of proj_e / proj_t.
+def _q_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
+    """Every hypothesis' Q for the trials whose projections are the rows
+    of proj_e / proj_t, shape (n, 2, 2^N): [trial, branch, hypothesis].
 
     Every trial gets its own two matrix-vector products, written into
-    rows allocated up front; every reduction runs along a contiguous
-    axis whose length does not depend on the block, and exp and log see
-    whole contiguous arrays. So a trial's score has the same bits in a
-    block of any size. Overflow shows up as NaN, which the callers turn
-    into NonFinite.
+    rows allocated up front, and every reduction runs along a contiguous
+    axis whose length does not depend on the block. So a trial's Q has
+    the same bits in a block of any size. Overflow shows up as inf or
+    NaN without a warning.
     """
     n, r_z = proj_e.shape
+    n_hyp = session.log_prior.size
     ws = np.empty((n, session.w_sum.shape[0]))
     wd = np.empty((n, session.w_diff.shape[0]))
     with np.errstate(all="ignore"):
@@ -359,9 +307,27 @@ def _score_block(session: ScoringSession, offsets, proj_e, proj_t) -> np.ndarray
             np.dot(session.w_diff, delta[i], out=wd[i])
         np.multiply(ws, ws, out=ws)
         np.multiply(wd, wd, out=wd)
-        quad = ws.reshape(n, offsets.size, r_z).sum(axis=2)
+        quad = ws.reshape(n, n_hyp, r_z).sum(axis=2)
         quad += np.add.reduceat(wd, session.diff_starts, axis=1)
-        q = offsets + 0.5 * quad.reshape((n,) + offsets.shape)
+        q = session.half_log_det_sigma + session.log_prior + 0.5 * quad
+    return q.reshape(n, 2, n_hyp // 2)
+
+
+def _score_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
+    """LLRs of a block of trials: each branch's log-sum-exp over ``_q_block``.
+
+    exp and log see whole contiguous arrays, so a score has the same bits
+    in a block of any size. Overflow shows up as NaN, which the callers
+    turn into NonFinite.
+
+    Raises AllHypothesesExcluded when a whole branch has prior zero.
+    """
+    top_prior = session.log_prior.reshape(2, -1).max(axis=1).tolist()
+    if -math.inf in top_prior:
+        name = ("same-speaker", "different-speaker")[top_prior.index(-math.inf)]
+        raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
+    q = _q_block(session, proj_e, proj_t)
+    with np.errstate(all="ignore"):
         top = q.max(axis=2)
         lse = top + np.log(np.exp(q - top[..., None]).sum(axis=2))
         return lse[:, 0] - lse[:, 1]
@@ -370,7 +336,9 @@ def _score_block(session: ScoringSession, offsets, proj_e, proj_t) -> np.ndarray
 def _project_raw(session: ScoringSession, m, what: str = "input vector") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (session.model.d,):
-        raise ValueError(f"expected a vector of length {session.model.d}, got shape {m.shape}")
+        raise DimensionMismatch(
+            f"{what} has shape {m.shape}, expected a vector of length {session.model.d}"
+        )
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{what} contains non-finite values")
     return session.project(m - session.model.mu)
@@ -381,14 +349,13 @@ def llr(session: ScoringSession, m_enroll, m_test) -> float:
 
     Raises:
       AllHypothesesExcluded: one branch has zero total prior.
+      DimensionMismatch: an input is not a vector of length d.
       NonFinite: an input holds a NaN or an infinity, or the score is NaN
         because the trial's whitened projections overflowed.
     """
     proj_e = _project_raw(session, m_enroll)
     proj_t = _project_raw(session, m_test)
-    score = float(
-        _score_block(session, _hypothesis_offsets(session), proj_e[None, :], proj_t[None, :])[0]
-    )
+    score = float(_score_block(session, proj_e[None, :], proj_t[None, :])[0])
     if math.isnan(score):
         raise NonFinite("the score is NaN: the trial's whitened projections overflowed")
     return score
@@ -409,6 +376,8 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
 
     Raises:
       UnknownId: a trial references an id absent from its table.
+      DimensionMismatch: a referenced embedding is not a vector of
+        length d; the message names the id.
       NonFinite: a referenced embedding holds a NaN or an infinity, or a
         trial's score is NaN (overflow); the message names the ids.
       AllHypothesesExcluded: one branch has zero total prior.
@@ -428,14 +397,13 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     out = np.empty(len(trials))
     if not trials:
         return out
-    offsets = _hypothesis_offsets(session)
     row_bytes = 8 * (session.w_sum.shape[0] + session.w_diff.shape[0])
     block = max(1, BLOCK_BYTES // row_bytes)
     for a in range(0, len(trials), block):
         chunk = trials[a : a + block]
         block_e = np.array([proj_e[e] for e, _ in chunk])
         block_t = np.array([proj_t[t] for _, t in chunk])
-        out[a : a + len(chunk)] = _score_block(session, offsets, block_e, block_t)
+        out[a : a + len(chunk)] = _score_block(session, block_e, block_t)
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
         eid, tid = trials[nan[0]]

@@ -131,6 +131,14 @@ def test_score_overflowing_embedding_exits_1(pipeline, tmp_path, capsys):
     assert f"({eid!r}, {tid!r}) is NaN" in err
 
 
+def test_score_wrong_width_table_names_enroll_id(pipeline, tmp_path, capsys):
+    emb = {k: np.append(v, 0.0) for k, v in io.load_embeddings(pipeline["emb"]).items()}
+    io.save_embeddings(tmp_path / "wide.tsv", emb)
+    eid = io.load_trials(pipeline["trials"])[0][0]
+    assert run_score(dict(pipeline, emb=tmp_path / "wide.tsv")) == 1
+    assert f"enroll id {eid!r}" in capsys.readouterr().err
+
+
 def test_score_exit_2_when_branch_excluded(pipeline, monkeypatch):
     import jplda.cli as cli
     from jplda.errors import AllHypothesesExcluded

@@ -173,6 +173,22 @@ def test_scores_reject_malformed(tmp_path):
         io.load_scores(path)
 
 
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (io.load_embeddings, "a\t1.0\n\nb\tx\n", "bad float"),
+        (io.load_trials, "e\tt\n\ne\n", "expected 2 or 3 tab-separated fields"),
+        (io.load_scores, "e\tt\t1.0\n\ne\tt\n", "expected 3 tab-separated fields"),
+    ],
+    ids=["embeddings", "trials", "scores"],
+)
+def test_tables_count_blank_lines(tmp_path, loader, text, message):
+    path = tmp_path / "table.tsv"
+    path.write_text(text)
+    with pytest.raises(MalformedFile, match=f"table.tsv:3: {message}"):
+        loader(path)
+
+
 def test_dataset_files_reload_consistently(rng, tmp_path):
     from jplda import sample_dataset
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from jplda import (
     AllHypothesesExcluded,
+    DimensionMismatch,
     FactorizationFailed,
     HypothesisVector,
     ModelParams,
@@ -96,14 +99,16 @@ def test_session_counts_and_reconstruction(rng, factorizations):
         assert len(factorizations) == expected
         m_e, m_t = rng.standard_normal(4), rng.standard_normal(4)
         p_e, p_t = session.project(m_e), session.project(m_t)
-        for h, fact in session.factorizations.items():
-            k = build_k_sum(gram(model), fact.partition)
+        r_z, starts = model.r_z, session.diff_starts
+        for h, i in session.factorizations.items():
+            part = partition_factors(model, h)
+            k = build_k_sum(gram(model), part)
             sign, logdet = np.linalg.slogdet(k)
             assert sign == 1.0
-            assert fact.half_log_det_sigma == pytest.approx(-0.5 * logdet, rel=1e-10)
+            assert session.half_log_det_sigma[i] == pytest.approx(-0.5 * logdet, rel=1e-10)
             phi = compute_phi(session, h, m_e, m_t)
-            x = fact.whiten_sum @ (p_e + p_t)
-            y = fact.whiten_diff @ (p_e - p_t)
+            x = session.w_sum[i * r_z : (i + 1) * r_z] @ (p_e + p_t)
+            y = session.w_diff[starts[i] : starts[i] + part.n_d] @ (p_e - p_t)
             assert x @ x + y @ y == pytest.approx(phi @ np.linalg.solve(k, phi), rel=1e-10)
 
 
@@ -148,7 +153,7 @@ def test_phi_all_tied_uses_sum(rng):
     session = precompute_session(model, PriorConfig.uniform(1))
     h = HypothesisVector(True, (True,))
     m_e, m_t = rng.standard_normal(3), rng.standard_normal(3)
-    w_tied, _ = side_blocks(model, session.factorizations[h].partition)
+    w_tied, _ = side_blocks(model, partition_factors(model, h))
     want = w_tied.T @ model.D @ (m_e + m_t)
     np.testing.assert_allclose(compute_phi(session, h, m_e, m_t), want, atol=1e-12)
 
@@ -175,8 +180,8 @@ def test_q_term_zero_inputs_reduce_to_log_det(rng):
     priors = random_priors(rng, 1)
     session = precompute_session(model, priors)
     h = (True,)
-    fact = session.factorizations[HypothesisVector(False, h)]
-    want = fact.half_log_det_sigma + fact.log_prior
+    i = session.factorizations[HypothesisVector(False, h)]
+    want = session.half_log_det_sigma[i] + session.log_prior[i]
     got = q_term(session, False, h, np.zeros(3), np.zeros(3))
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -212,6 +217,25 @@ def test_q_term_matches_marginal_density_plus_offset(rng):
                 assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_q_term_log_sum_exp_equals_llr(rng):
+    # q_term reads the terms llr sums, so each branch's log-sum-exp of
+    # q_term reproduces llr up to the rounding of the log-sum-exp itself
+    for n in range(4):
+        for _ in range(5):
+            r_x = tuple(int(r) for r in rng.integers(1, 3, size=n))
+            model = random_model(rng, int(rng.integers(1, 6)), int(rng.integers(0, 3)), r_x)
+            session = precompute_session(model, random_priors(rng, n))
+            m_e, m_t = rng.standard_normal(model.d), rng.standard_normal(model.d)
+            c_e, c_t = m_e - model.mu, m_t - model.mu
+            terms = [
+                [q_term(session, spk, c, c_e, c_t) for c in enumerate_condition_hypotheses(n)]
+                for spk in (True, False)
+            ]
+            got = logsumexp(terms[0]) - logsumexp(terms[1])
+            want = llr(session, m_e, m_t)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # posterior moments -------------------------------------------------------
 
 
@@ -225,12 +249,12 @@ def test_posterior_mean_zero_for_zero_inputs(rng):
 def test_posterior_cov_inverts_precision(rng):
     model = random_model(rng, 4, 2, (1, 2))
     session = precompute_session(model, PriorConfig.uniform(2))
-    for h, fact in session.factorizations.items():
+    for h in session.factorizations:
         mom = posterior_moments(
             session, h.speaker_tied, h.condition_tied, np.zeros(4), np.zeros(4)
         )
-        k = build_k_sum(gram(model), fact.partition)
-        np.testing.assert_allclose(mom.sigma @ k, np.eye(fact.size), atol=1e-8)
+        k = build_k_sum(gram(model), partition_factors(model, h))
+        np.testing.assert_allclose(mom.sigma @ k, np.eye(len(k)), atol=1e-8)
 
 
 def test_posterior_mean_matches_conditional_gaussian(rng):
@@ -238,7 +262,7 @@ def test_posterior_mean_matches_conditional_gaussian(rng):
     session = precompute_session(model, PriorConfig.uniform(1))
     m_e, m_t = rng.standard_normal(3), rng.standard_normal(3)
     for h in session.factorizations:
-        part = session.factorizations[h].partition
+        part = partition_factors(model, h)
         d = model.d
         w_tied, w_untied = side_blocks(model, part)
         w_e = np.concatenate([w_tied, w_untied, np.zeros((d, part.n_d))], axis=1)
@@ -328,16 +352,7 @@ def test_llr_prior_scaling_invariance(rng):
     model = random_model(rng, 3, 1, (1, 1))
     session = precompute_session(model, random_priors(rng, 2))
     shift = math.log(37.0)
-    scaled = dataclasses.replace(
-        session,
-        factorizations=session.factorizations,
-        ss_branch=tuple(
-            dataclasses.replace(f, log_prior=f.log_prior + shift) for f in session.ss_branch
-        ),
-        ds_branch=tuple(
-            dataclasses.replace(f, log_prior=f.log_prior + shift) for f in session.ds_branch
-        ),
-    )
+    scaled = dataclasses.replace(session, log_prior=session.log_prior + shift)
     for _ in range(5):
         m_e, m_t = rng.standard_normal(3), rng.standard_normal(3)
         assert llr(session, m_e, m_t) == pytest.approx(llr(scaled, m_e, m_t), abs=1e-10)
@@ -346,12 +361,34 @@ def test_llr_prior_scaling_invariance(rng):
 def test_llr_all_hypotheses_excluded(rng):
     model = random_model(rng, 2, 1, (1,))
     session = precompute_session(model, PriorConfig.uniform(1))
-    broken = dataclasses.replace(
-        session,
-        ss_branch=tuple(dataclasses.replace(f, log_prior=-math.inf) for f in session.ss_branch),
-    )
+    log_prior = session.log_prior.copy()
+    log_prior[: log_prior.size // 2] = -math.inf
+    broken = dataclasses.replace(session, log_prior=log_prior)
     with pytest.raises(AllHypothesesExcluded):
         llr(broken, rng.standard_normal(2), rng.standard_normal(2))
+
+
+PROBABILITY = st.one_of(
+    st.just(0.0), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(*[st.lists(PROBABILITY, min_size=n, max_size=n)] * 2)
+    )
+)
+def test_valid_priors_never_exclude_a_branch(probabilities):
+    # each branch's priors sum to 1 over 2^N hypotheses, so its largest
+    # is at least 2^-N however many probabilities are 0 or 1
+    ss, ds = probabilities
+    n = len(ss)
+    model = random_model(np.random.default_rng(n), 3, 1, (1,) * n)
+    session = precompute_session(model, PriorConfig(tuple(ss), tuple(ds)))
+    assert np.all(session.log_prior.reshape(2, -1).max(axis=1) >= -n * math.log(2.0))
+    m_e, m_t = np.random.default_rng(n + 10).standard_normal((2, 3))
+    assert math.isfinite(llr(session, m_e, m_t))
 
 
 # batch scoring -----------------------------------------------------------
@@ -437,6 +474,14 @@ def test_score_trials_names_non_finite_embedding(rng):
     eid = trials[-1][0]
     enroll = dict(enroll, **{eid: np.full_like(enroll[eid], np.nan)})
     with pytest.raises(NonFinite, match=f"enroll id '{eid}'"):
+        score_trials(session, enroll, test, trials)
+
+
+def test_score_trials_names_wrong_width_embedding(rng):
+    session, enroll, test, trials = batch_setup(rng, 30)
+    eid = trials[-1][0]
+    enroll = dict(enroll, **{eid: np.append(enroll[eid], 0.0)})
+    with pytest.raises(DimensionMismatch, match=f"enroll id '{eid}' has shape \\(5,\\)"):
         score_trials(session, enroll, test, trials)
 
 
