@@ -45,13 +45,11 @@ print(f"hypotheses per speaker branch: {len(session.factorizations) // 2}")
 truth = HypothesisVector(True, (True, False))
 m_enroll, m_test = sample_trial_pair(model, truth, seed=123)
 
-centered_e = m_enroll - model.mu
-centered_t = m_test - model.mu
 print("\nper-hypothesis terms (same-speaker branch | different-speaker branch):")
 for cond in enumerate_condition_hypotheses(model.n_conditions):
     ties = "".join("S" if t else "D" for t in cond)
-    q_ss = q_term(session, True, cond, centered_e, centered_t)
-    q_ds = q_term(session, False, cond, centered_e, centered_t)
+    q_ss = q_term(session, True, cond, m_enroll, m_test)
+    q_ds = q_term(session, False, cond, m_enroll, m_test)
     print(f"  conditions {ties}:  Q_ss = {q_ss:9.3f}   Q_ds = {q_ds:9.3f}")
 
 score = llr(session, m_enroll, m_test)

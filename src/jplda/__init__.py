@@ -12,6 +12,12 @@ Typical use::
 
     session = precompute_session(model, PriorConfig.uniform(model.n_conditions))
     score = llr(session, enroll_vector, test_vector)
+
+The package exports what the CLI, the demos and the acceptance tests
+use: the model and prior types, the scoring path (``precompute_session``,
+``llr``, ``score_trials`` and ``q_term``, which all take raw vectors),
+file I/O, synthetic data, detection metrics and the slow covariance
+oracle.
 """
 
 from . import io, metrics, oracle, synth
@@ -36,25 +42,13 @@ from .errors import (
 )
 from .hypothesis import (
     HypothesisVector,
-    Partition,
     PriorConfig,
     enumerate_condition_hypotheses,
     hypothesis_log_prior,
-    partition_factors,
 )
 from .metrics import ScoredTrials, calibration_identity, eer
 from .model import ModelParams, collapse_to_plda, stack_w, validate
-from .scoring import (
-    PosteriorMoments,
-    ScoringSession,
-    build_k_sum,
-    compute_phi,
-    llr,
-    posterior_moments,
-    precompute_session,
-    q_term,
-    score_trials,
-)
+from .scoring import ScoringSession, llr, precompute_session, q_term, score_trials
 from .synth import (
     SyntheticDataset,
     make_benchmark,
@@ -80,8 +74,6 @@ __all__ = [
     "NotPositiveDefinite",
     "NotSymmetric",
     "OrphanLatent",
-    "Partition",
-    "PosteriorMoments",
     "PriorConfig",
     "ScoredTrials",
     "ScoringSession",
@@ -91,10 +83,8 @@ __all__ = [
     "UnknownId",
     "ValidationFailed",
     "VersionUnsupported",
-    "build_k_sum",
     "calibration_identity",
     "collapse_to_plda",
-    "compute_phi",
     "eer",
     "enumerate_condition_hypotheses",
     "hypothesis_log_prior",
@@ -103,8 +93,6 @@ __all__ = [
     "make_benchmark",
     "metrics",
     "oracle",
-    "partition_factors",
-    "posterior_moments",
     "precompute_session",
     "q_term",
     "sample_dataset",

@@ -17,10 +17,9 @@ from .model import ModelParams
 __all__ = [
     "HypothesisVector",
     "PriorConfig",
-    "Partition",
     "enumerate_condition_hypotheses",
     "hypothesis_log_prior",
-    "partition_factors",
+    "untied_columns",
 ]
 
 
@@ -73,33 +72,6 @@ class PriorConfig:
         return cls((p,) * n_conditions, (p,) * n_conditions)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Stacked factor columns split into tied and untied sides for one hypothesis.
-
-    Attributes:
-      tied_slots / untied_slots: block names ("speaker", "condition_1",
-        ...) in the fixed convention order: speaker first, then
-        conditions ascending.
-      tied_cols / untied_cols: the corresponding column indices into the
-        stacked matrix W = [V | U_1 | ... | U_N]; W[:, tied_cols] is
-        W_S and W[:, untied_cols] is W_D.
-    """
-
-    tied_slots: tuple
-    untied_slots: tuple
-    tied_cols: np.ndarray
-    untied_cols: np.ndarray
-
-    @property
-    def n_s(self) -> int:
-        return len(self.tied_cols)
-
-    @property
-    def n_d(self) -> int:
-        return len(self.untied_cols)
-
-
 def enumerate_condition_hypotheses(n_conditions: int) -> list:
     """All 2^N condition-tie vectors in binary-counting order.
 
@@ -137,37 +109,9 @@ def hypothesis_log_prior(h: HypothesisVector, priors: PriorConfig) -> float:
     return total
 
 
-def _block_layout(model: ModelParams) -> list:
-    """(name, column slice into stacked W) for the speaker and each condition."""
-    layout = [("speaker", slice(0, model.r_y))]
-    start = model.r_y
-    for j, r in enumerate(model.r_x, start=1):
-        layout.append((f"condition_{j}", slice(start, start + r)))
-        start += r
-    return layout
-
-
-def partition_factors(model: ModelParams, h: HypothesisVector) -> Partition:
-    """Split the columns of V and the U_j into tied (W_S) and untied (W_D) sides.
-
-    V goes to the tied side iff the speaker is tied; U_j iff condition j
-    is tied. Within each side the order is speaker first, then
-    conditions ascending.
-    """
-    if len(h.condition_tied) != model.n_conditions:
-        raise ValueError(
-            f"hypothesis has {len(h.condition_tied)} conditions, "
-            f"model has {model.n_conditions}"
-        )
+def untied_columns(model: ModelParams, h: HypothesisVector) -> np.ndarray:
+    """Ascending indices of the columns of W = [V | U_1 | ... | U_N] that
+    ``h`` leaves untied: V's iff the speaker is untied, U_j's iff
+    condition j is."""
     flags = (h.speaker_tied,) + h.condition_tied
-    slots = {True: [], False: []}
-    cols = {True: [np.zeros(0, dtype=np.int64)], False: [np.zeros(0, dtype=np.int64)]}
-    for tied, (name, block) in zip(flags, _block_layout(model)):
-        slots[tied].append(name)
-        cols[tied].append(np.arange(block.start, block.stop, dtype=np.int64))
-    return Partition(
-        tied_slots=tuple(slots[True]),
-        untied_slots=tuple(slots[False]),
-        tied_cols=np.concatenate(cols[True]),
-        untied_cols=np.concatenate(cols[False]),
-    )
+    return np.flatnonzero(np.repeat(np.logical_not(flags), (model.r_y,) + model.r_x))

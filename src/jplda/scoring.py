@@ -9,9 +9,12 @@ where h runs over all condition-tie combinations and
     Q = 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log prior(h).
 
 Sigma is the posterior covariance of the stacked trial latents
-[Z_shared; Z_enroll; Z_test] and Phi its information vector. Rotating
-the untied latents to their half sum and half difference splits the
-posterior precision into two blocks, both read out of one Gram matrix
+[Z_shared; Z_enroll; Z_test] and Phi its information vector; the test
+suite's ``reference`` module builds both in this unrotated form. A
+hypothesis enters only through its untied columns U of
+W = [V | U_1 | ... | U_N] (``untied_columns``). Rotating the untied
+latents to their half sum and half difference splits the posterior
+precision into two blocks, both read out of one Gram matrix
 G = W^T D W::
 
     K1 = 2G + diag(c)      size R_z, model column order; c is 1 on the
@@ -29,9 +32,10 @@ position (see ``ScoringSession``): every L1^-1 stacked into one matrix
 and every L2^-1 (placed in its columns U) into another. A trial costs
 two projections of size R_z and two matrix-vector products; the
 squares, the per-hypothesis sums and each branch's log-sum-exp are
-vectorized over a block of trials. ``llr`` and ``q_term`` apply the
-same block function to one trial, so their Q terms are bitwise those
-of ``score_trials``.
+vectorized over a block of trials. ``llr`` and ``q_term`` take raw
+vectors, check them like ``score_trials`` does, and apply the same
+block function to one trial, so their Q terms are bitwise those of
+``score_trials``.
 """
 
 import math
@@ -48,25 +52,14 @@ from .errors import (
 )
 from .hypothesis import (
     HypothesisVector,
-    Partition,
     PriorConfig,
     enumerate_condition_hypotheses,
     hypothesis_log_prior,
-    partition_factors,
+    untied_columns,
 )
 from .model import ModelParams, stack_w, validate
 
-__all__ = [
-    "ScoringSession",
-    "PosteriorMoments",
-    "build_k_sum",
-    "precompute_session",
-    "compute_phi",
-    "q_term",
-    "llr",
-    "posterior_moments",
-    "score_trials",
-]
+__all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trials"]
 
 # Largest whitening matrices a session may hold: 24 * 2^N * R_z^2 bytes.
 MAX_WHITENING_BYTES = 1 << 30
@@ -78,14 +71,6 @@ BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
-class PosteriorMoments:
-    """Posterior mean and covariance of the stacked trial latents."""
-
-    z_hat: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScoringSession:
     """Immutable bundle of a model plus all 2^(N+1) hypothesis factorizations.
 
@@ -94,14 +79,14 @@ class ScoringSession:
     ``HypothesisVector`` to its position i: same-speaker branch first,
     each branch in ``enumerate_condition_hypotheses`` order. Indexed by
     i are ``half_log_det_sigma`` (0.5 log|Sigma|), ``log_prior`` (-inf
-    allowed), L1^-1 in rows i*R_z to (i+1)*R_z of ``w_sum``, and L2^-1,
-    placed in the untied columns, in max(n_d, 1) rows of ``w_diff``
-    from ``diff_starts[i]``. A hypothesis with n_d = 0 gets one zero
-    row, since ``np.add.reduceat`` sums no empty segment.
+    allowed; the session's only copy of the priors), L1^-1 in rows
+    i*R_z to (i+1)*R_z of ``w_sum``, and L2^-1, placed in the untied
+    columns, in max(n_d, 1) rows of ``w_diff`` from ``diff_starts[i]``.
+    A hypothesis with n_d = 0 gets one zero row, since
+    ``np.add.reduceat`` sums no empty segment.
     """
 
     model: ModelParams
-    priors: PriorConfig
     factorizations: MappingProxyType
     half_log_det_sigma: np.ndarray
     log_prior: np.ndarray
@@ -114,38 +99,6 @@ class ScoringSession:
         """All factor loadings' noise-weighted projections W^T D m of one
         centered vector, stacked in model order (length R_z)."""
         return self.dw.T @ centered
-
-
-def build_k_sum(gram: np.ndarray, partition: Partition) -> np.ndarray:
-    """Posterior precision of [Z_shared; Z_enroll; Z_test] for one hypothesis.
-
-    ``gram`` is the symmetric W^T D W of the stacked loadings. With
-    A = W_S^T D W_S, B = W_S^T D W_D and C = W_D^T D W_D, all sliced
-    out of it by the partition's columns, the block form is::
-
-        [ 2A + I   B       B     ]
-        [ B^T      C + I   0     ]
-        [ B^T      0       C + I ]
-
-    The result is exactly symmetric and positive definite for any valid
-    model: the identity blocks come from the unit prior on the latents.
-    Scoring factorizes the rotated blocks K1, K2 instead (see the module
-    docstring); this full form serves ``posterior_moments``.
-    """
-    n_s, n_d = partition.n_s, partition.n_d
-    cols = np.concatenate((partition.tied_cols, partition.untied_cols, partition.untied_cols))
-    k = gram[np.ix_(cols, cols)]
-    k[:n_s, :n_s] *= 2.0
-    k[n_s : n_s + n_d, n_s + n_d :] = 0.0
-    k[n_s + n_d :, n_s : n_s + n_d] = 0.0
-    k[np.diag_indices_from(k)] += 1.0
-    return k
-
-
-def _gram(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """The symmetrized Gram matrix W^T D W from W and D W."""
-    gram = w.T @ dw
-    return 0.5 * (gram + gram.T)
 
 
 def _cholesky_lower(k: tuple, hypothesis: HypothesisVector) -> tuple:
@@ -196,34 +149,33 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     w = stack_w(model)
     dw = model.D @ w
     dw.setflags(write=False)
-    gram2 = 2.0 * _gram(w, dw)
+    gram = w.T @ dw
+    gram2 = gram + gram.T
 
     cond_hyps = enumerate_condition_hypotheses(n_cond)
     hyps = [HypothesisVector(spk, c) for spk in (True, False) for c in cond_hyps]
-    parts = [partition_factors(model, h) for h in hyps]
-    diff_rows = [max(part.n_d, 1) for part in parts]
+    untied = [untied_columns(model, h) for h in hyps]
+    diff_rows = [max(u.size, 1) for u in untied]
     diff_starts = np.cumsum([0] + diff_rows[:-1])
     w_sum = np.empty((len(hyps) * r_z, r_z))
     w_diff = np.zeros((sum(diff_rows), r_z))
     half_log_det_sigma = np.empty(len(hyps))
-    for i, (h, part) in enumerate(zip(hyps, parts)):
-        u = part.untied_cols
+    for i, (h, u) in enumerate(zip(hyps, untied)):
         k1 = gram2.copy()
         k1[np.diag_indices(r_z)] += 1.0
         k1[u, u] += 1.0
         k2 = gram2[np.ix_(u, u)]
-        k2[np.diag_indices(part.n_d)] += 2.0
+        k2[np.diag_indices(u.size)] += 2.0
         l1, l2 = _cholesky_lower((k1, k2), h)
         w_sum[i * r_z : (i + 1) * r_z] = _lower_inverse(l1)
-        w_diff[diff_starts[i] : diff_starts[i] + part.n_d, u] = _lower_inverse(l2)
+        w_diff[diff_starts[i] : diff_starts[i] + u.size, u] = _lower_inverse(l2)
         log_diag = np.sum(np.log(np.diag(l1))) + np.sum(np.log(np.diag(l2)))
-        half_log_det_sigma[i] = part.n_d * math.log(2.0) - float(log_diag)
+        half_log_det_sigma[i] = u.size * math.log(2.0) - float(log_diag)
     log_prior = np.array([hypothesis_log_prior(h, priors) for h in hyps])
     for a in (half_log_det_sigma, log_prior, w_sum, w_diff, diff_starts):
         a.setflags(write=False)
     return ScoringSession(
         model=model,
-        priors=priors,
         factorizations=MappingProxyType({h: i for i, h in enumerate(hyps)}),
         half_log_det_sigma=half_log_det_sigma,
         log_prior=log_prior,
@@ -232,57 +184,6 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         w_diff=w_diff,
         diff_starts=diff_starts,
     )
-
-
-def _projections(session: ScoringSession, m_enroll, m_test) -> tuple:
-    return (
-        session.project(np.asarray(m_enroll, dtype=np.float64)),
-        session.project(np.asarray(m_test, dtype=np.float64)),
-    )
-
-
-def compute_phi(session: ScoringSession, h: HypothesisVector, m_enroll, m_test) -> np.ndarray:
-    """Information vector [W_S^T D (mE+mT); W_D^T D mE; W_D^T D mT].
-
-    Both inputs must already be centered (mean subtracted).
-    """
-    part = partition_factors(session.model, h)
-    proj_e, proj_t = _projections(session, m_enroll, m_test)
-    u = part.untied_cols
-    return np.concatenate(((proj_e + proj_t)[part.tied_cols], proj_e[u], proj_t[u]))
-
-
-def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> float:
-    """One hypothesis' contribution 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log prior.
-
-    ``h`` is the condition-tie vector; inputs must be centered. Returns
-    -inf when the hypothesis prior is zero. The value is bitwise the term
-    that ``llr`` sums for the same projections.
-    """
-    i = session.factorizations[HypothesisVector(speaker_tied, tuple(h))]
-    proj_e, proj_t = _projections(session, m_enroll, m_test)
-    return float(_q_block(session, proj_e[None, :], proj_t[None, :]).reshape(-1)[i])
-
-
-def posterior_moments(
-    session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test
-) -> PosteriorMoments:
-    """Posterior mean Sigma*Phi and covariance Sigma of the trial latents.
-
-    Inputs must be centered. A diagnostic path: it rebuilds and factorizes
-    this hypothesis' full posterior precision on every call.
-    """
-    hv = HypothesisVector(speaker_tied, tuple(h))
-    part = partition_factors(session.model, hv)
-    phi = compute_phi(session, hv, m_enroll, m_test)
-    n = phi.size
-    if n == 0:
-        return PosteriorMoments(z_hat=np.zeros(0), sigma=np.zeros((0, 0)))
-    k = build_k_sum(_gram(stack_w(session.model), session.dw), part)
-    factor = sla.cho_factor(k, lower=True)
-    sigma = sla.cho_solve(factor, np.eye(n))
-    sigma = 0.5 * (sigma + sigma.T)
-    return PosteriorMoments(z_hat=sla.cho_solve(factor, phi), sigma=sigma)
 
 
 def _q_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
@@ -333,7 +234,7 @@ def _score_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
         return lse[:, 0] - lse[:, 1]
 
 
-def _project_raw(session: ScoringSession, m, what: str = "input vector") -> np.ndarray:
+def _project_raw(session: ScoringSession, m, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (session.model.d,):
         raise DimensionMismatch(
@@ -344,21 +245,49 @@ def _project_raw(session: ScoringSession, m, what: str = "input vector") -> np.n
     return session.project(m - session.model.mu)
 
 
+def _one_trial(session: ScoringSession, m_enroll, m_test) -> tuple:
+    """Projections of one raw trial, each as a block of one row."""
+    return (
+        _project_raw(session, m_enroll, "enroll vector")[None, :],
+        _project_raw(session, m_test, "test vector")[None, :],
+    )
+
+
 def llr(session: ScoringSession, m_enroll, m_test) -> float:
     """Log-likelihood ratio for one trial; inputs are raw (uncentered).
 
     Raises:
       AllHypothesesExcluded: one branch has zero total prior.
-      DimensionMismatch: an input is not a vector of length d.
+      DimensionMismatch: an input is not a vector of length d; the
+        message names the enroll or the test vector.
       NonFinite: an input holds a NaN or an infinity, or the score is NaN
         because the trial's whitened projections overflowed.
     """
-    proj_e = _project_raw(session, m_enroll)
-    proj_t = _project_raw(session, m_test)
-    score = float(_score_block(session, proj_e[None, :], proj_t[None, :])[0])
+    score = float(_score_block(session, *_one_trial(session, m_enroll, m_test))[0])
     if math.isnan(score):
         raise NonFinite("the score is NaN: the trial's whitened projections overflowed")
     return score
+
+
+def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> float:
+    """One hypothesis' term 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log prior.
+
+    ``h`` is the condition-tie vector; inputs are raw (uncentered), as
+    for ``llr``, and are checked the same way. Returns -inf when the
+    hypothesis prior is zero. The value is bitwise the term that ``llr``
+    sums for the same inputs.
+
+    Raises:
+      DimensionMismatch, NonFinite: as ``llr`` for its inputs.
+      NonFinite: the term is NaN or +inf because the trial's whitened
+        projections overflowed.
+    """
+    hv = HypothesisVector(speaker_tied, tuple(h))
+    i = session.factorizations[hv]
+    q = float(_q_block(session, *_one_trial(session, m_enroll, m_test)).reshape(-1)[i])
+    if math.isnan(q) or q == math.inf:
+        raise NonFinite(f"the term of {hv} is {q}: the trial's whitened projections overflowed")
+    return q
 
 
 def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:

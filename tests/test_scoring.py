@@ -17,14 +17,10 @@ from jplda import (
     PriorConfig,
     SessionTooLarge,
     UnknownId,
-    build_k_sum,
     collapse_to_plda,
-    compute_phi,
     enumerate_condition_hypotheses,
     hypothesis_log_prior,
     llr,
-    partition_factors,
-    posterior_moments,
     precompute_session,
     q_term,
     score_trials,
@@ -34,6 +30,7 @@ from jplda import (
 from jplda.oracle import gaussian_llr_oracle, marginal_cov
 
 from conftest import random_model, random_priors
+from reference import build_k_sum, compute_phi, mp_llr, posterior_moments, split_columns
 
 
 def scalar_model():
@@ -47,10 +44,11 @@ def gram(model):
     return w.T @ model.D @ w
 
 
-def side_blocks(model, part):
-    """The tied and untied loadings W_S, W_D of one partition."""
+def side_blocks(model, h):
+    """The tied and untied loadings W_S, W_D of one hypothesis."""
+    tied, untied = split_columns(model, h)
     w = stack_w(model)
-    return w[:, part.tied_cols], w[:, part.untied_cols]
+    return w[:, tied], w[:, untied]
 
 
 # posterior precision -----------------------------------------------------
@@ -58,9 +56,8 @@ def side_blocks(model, part):
 
 def test_k_sum_scalar_blocks():
     model = scalar_model()
-    part = partition_factors(model, HypothesisVector(True, (False,)))
     np.testing.assert_allclose(
-        build_k_sum(gram(model), part),
+        build_k_sum(gram(model), model, HypothesisVector(True, (False,))),
         [[3.0, 2.0, 2.0], [2.0, 5.0, 0.0], [2.0, 0.0, 5.0]],
         atol=1e-14,
     )
@@ -68,10 +65,10 @@ def test_k_sum_scalar_blocks():
 
 def test_k_sum_no_tied_block(rng):
     model = random_model(rng, 3, 2, (1,))
-    part = partition_factors(model, HypothesisVector(False, (False,)))
-    k = build_k_sum(gram(model), part)
-    n_d = part.n_d
-    _, w_untied = side_blocks(model, part)
+    h = HypothesisVector(False, (False,))
+    k = build_k_sum(gram(model), model, h)
+    _, w_untied = side_blocks(model, h)
+    n_d = w_untied.shape[1]
     block = w_untied.T @ model.D @ w_untied + np.eye(n_d)
     np.testing.assert_allclose(k[:n_d, :n_d], block, atol=1e-12)
     np.testing.assert_allclose(k[n_d:, n_d:], block, atol=1e-12)
@@ -80,10 +77,10 @@ def test_k_sum_no_tied_block(rng):
 
 def test_k_sum_no_untied_block(rng):
     model = random_model(rng, 3, 2, (1,))
-    part = partition_factors(model, HypothesisVector(True, (True,)))
-    k = build_k_sum(gram(model), part)
-    w_tied, _ = side_blocks(model, part)
-    want = 2.0 * w_tied.T @ model.D @ w_tied + np.eye(part.n_s)
+    h = HypothesisVector(True, (True,))
+    k = build_k_sum(gram(model), model, h)
+    w_tied, _ = side_blocks(model, h)
+    want = 2.0 * w_tied.T @ model.D @ w_tied + np.eye(w_tied.shape[1])
     np.testing.assert_allclose(k, want, atol=1e-12)
 
 
@@ -101,14 +98,14 @@ def test_session_counts_and_reconstruction(rng, factorizations):
         p_e, p_t = session.project(m_e), session.project(m_t)
         r_z, starts = model.r_z, session.diff_starts
         for h, i in session.factorizations.items():
-            part = partition_factors(model, h)
-            k = build_k_sum(gram(model), part)
+            k = build_k_sum(gram(model), model, h)
+            n_d = split_columns(model, h)[1].size
             sign, logdet = np.linalg.slogdet(k)
             assert sign == 1.0
             assert session.half_log_det_sigma[i] == pytest.approx(-0.5 * logdet, rel=1e-10)
             phi = compute_phi(session, h, m_e, m_t)
             x = session.w_sum[i * r_z : (i + 1) * r_z] @ (p_e + p_t)
-            y = session.w_diff[starts[i] : starts[i] + part.n_d] @ (p_e - p_t)
+            y = session.w_diff[starts[i] : starts[i] + n_d] @ (p_e - p_t)
             assert x @ x + y @ y == pytest.approx(phi @ np.linalg.solve(k, phi), rel=1e-10)
 
 
@@ -153,7 +150,7 @@ def test_phi_all_tied_uses_sum(rng):
     session = precompute_session(model, PriorConfig.uniform(1))
     h = HypothesisVector(True, (True,))
     m_e, m_t = rng.standard_normal(3), rng.standard_normal(3)
-    w_tied, _ = side_blocks(model, partition_factors(model, h))
+    w_tied, _ = side_blocks(model, h)
     want = w_tied.T @ model.D @ (m_e + m_t)
     np.testing.assert_allclose(compute_phi(session, h, m_e, m_t), want, atol=1e-12)
 
@@ -172,7 +169,7 @@ def test_phi_scalar_values():
 def test_q_term_zero_prior_is_minus_inf(rng):
     model = random_model(rng, 2, 1, (1,))
     session = precompute_session(model, PriorConfig((1.0,), (0.5,)))
-    assert q_term(session, True, (False,), np.zeros(2), np.zeros(2)) == -math.inf
+    assert q_term(session, True, (False,), model.mu, model.mu) == -math.inf
 
 
 def test_q_term_zero_inputs_reduce_to_log_det(rng):
@@ -182,7 +179,7 @@ def test_q_term_zero_inputs_reduce_to_log_det(rng):
     h = (True,)
     i = session.factorizations[HypothesisVector(False, h)]
     want = session.half_log_det_sigma[i] + session.log_prior[i]
-    got = q_term(session, False, h, np.zeros(3), np.zeros(3))
+    got = q_term(session, False, h, model.mu, model.mu)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -226,14 +223,37 @@ def test_q_term_log_sum_exp_equals_llr(rng):
             model = random_model(rng, int(rng.integers(1, 6)), int(rng.integers(0, 3)), r_x)
             session = precompute_session(model, random_priors(rng, n))
             m_e, m_t = rng.standard_normal(model.d), rng.standard_normal(model.d)
-            c_e, c_t = m_e - model.mu, m_t - model.mu
             terms = [
-                [q_term(session, spk, c, c_e, c_t) for c in enumerate_condition_hypotheses(n)]
+                [q_term(session, spk, c, m_e, m_t) for c in enumerate_condition_hypotheses(n)]
                 for spk in (True, False)
             ]
             got = logsumexp(terms[0]) - logsumexp(terms[1])
             want = llr(session, m_e, m_t)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_term_overflow_raises_non_finite(rng):
+    # 1e200 embeddings overflow the whitened projections: the prior-1/2
+    # term would be +inf and the prior-0 term NaN
+    model = random_model(rng, 4, 2, (1, 2))
+    session = precompute_session(model, PriorConfig((1.0, 0.5), (0.5, 0.5)))
+    huge = np.full(4, 1e200)
+    for cond in ((True, True), (False, True)):
+        with pytest.raises(NonFinite, match="overflowed"):
+            q_term(session, True, cond, huge, huge)
+
+
+def test_q_term_rejects_non_finite_input(rng):
+    session, enroll, _, _ = batch_setup(rng, 3)
+    good = next(iter(enroll.values()))
+    for bad in (np.nan, np.inf):
+        vec = good.copy()
+        vec[1] = bad
+        with pytest.raises(NonFinite, match="enroll vector"):
+            q_term(session, True, (True, True), vec, good)
+        with pytest.raises(NonFinite, match="test vector"):
+            q_term(session, True, (True, True), good, vec)
 
 
 # posterior moments -------------------------------------------------------
@@ -253,7 +273,7 @@ def test_posterior_cov_inverts_precision(rng):
         mom = posterior_moments(
             session, h.speaker_tied, h.condition_tied, np.zeros(4), np.zeros(4)
         )
-        k = build_k_sum(gram(model), partition_factors(model, h))
+        k = build_k_sum(gram(model), model, h)
         np.testing.assert_allclose(mom.sigma @ k, np.eye(len(k)), atol=1e-8)
 
 
@@ -262,11 +282,11 @@ def test_posterior_mean_matches_conditional_gaussian(rng):
     session = precompute_session(model, PriorConfig.uniform(1))
     m_e, m_t = rng.standard_normal(3), rng.standard_normal(3)
     for h in session.factorizations:
-        part = partition_factors(model, h)
         d = model.d
-        w_tied, w_untied = side_blocks(model, part)
-        w_e = np.concatenate([w_tied, w_untied, np.zeros((d, part.n_d))], axis=1)
-        w_t = np.concatenate([w_tied, np.zeros((d, part.n_d)), w_untied], axis=1)
+        w_tied, w_untied = side_blocks(model, h)
+        n_d = w_untied.shape[1]
+        w_e = np.concatenate([w_tied, w_untied, np.zeros((d, n_d))], axis=1)
+        w_t = np.concatenate([w_tied, np.zeros((d, n_d)), w_untied], axis=1)
         noise = np.linalg.inv(model.D)
         cov_zm = np.concatenate([w_e.T, w_t.T], axis=1)
         cov_mm = np.block(
@@ -312,6 +332,46 @@ def test_llr_matches_oracle(rng):
         got = llr(session, m_e, m_t)
         want = gaussian_llr_oracle(model, priors, m_e, m_t)
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def conditioned_model(rng, d, r_y, r_x, cond):
+    """A model whose noise precision D has eigenvalues spread from 1 to cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = (q * np.geomspace(1.0, cond, d)) @ q.T
+    return ModelParams(
+        mu=rng.standard_normal(d),
+        V=rng.standard_normal((d, r_y)),
+        U=tuple(rng.standard_normal((d, r)) for r in r_x),
+        D=0.5 * (a + a.T),
+    )
+
+
+def test_mp_reference_matches_float_oracle(rng):
+    for _ in range(5):
+        n = int(rng.integers(0, 3))
+        model = random_model(rng, 3, 2, (1, 2)[:n])
+        priors = random_priors(rng, n)
+        m_e, m_t = rng.standard_normal((2, 3))
+        want = gaussian_llr_oracle(model, priors, m_e, m_t)
+        assert float(mp_llr(model, priors, m_e, m_t)) == pytest.approx(want, abs=1e-10)
+
+
+def test_llr_within_relative_budget_of_mp_reference(rng):
+    # |llr - ref| <= 64 eps cond(D) max(1, |ref|) against the 50-digit
+    # covariance-domain reference, from a well to a badly conditioned D
+    eps = np.finfo(np.float64).eps
+    for cond in (1.0, 1e3, 1e6, 1e9, 1e12):
+        for _ in range(8):
+            n = int(rng.integers(0, 3))
+            r_x = tuple(int(r) for r in rng.integers(1, 3, size=n))
+            model = conditioned_model(
+                rng, int(rng.integers(2, 5)), int(rng.integers(0, 3)), r_x, cond
+            )
+            priors = random_priors(rng, n)
+            m_e, m_t = rng.standard_normal((2, model.d))
+            ref = mp_llr(model, priors, m_e, m_t)
+            err = float(abs(llr(precompute_session(model, priors), m_e, m_t) - ref))
+            assert err <= 64 * eps * np.linalg.cond(model.D) * max(1.0, abs(float(ref)))
 
 
 def test_llr_degenerate_priors_single_hypothesis(rng):
@@ -483,6 +543,18 @@ def test_score_trials_names_wrong_width_embedding(rng):
     enroll = dict(enroll, **{eid: np.append(enroll[eid], 0.0)})
     with pytest.raises(DimensionMismatch, match=f"enroll id '{eid}' has shape \\(5,\\)"):
         score_trials(session, enroll, test, trials)
+
+
+@pytest.mark.parametrize("side", ["enroll", "test"])
+def test_wrong_width_names_the_input(rng, side):
+    session, _, _, _ = batch_setup(rng, 3)
+    good, bad = np.zeros(4), np.zeros(5)
+    args = (bad, good) if side == "enroll" else (good, bad)
+    match = f"{side} vector has shape \\(5,\\)"
+    with pytest.raises(DimensionMismatch, match=match):
+        llr(session, *args)
+    with pytest.raises(DimensionMismatch, match=match):
+        q_term(session, True, (True, True), *args)
 
 
 @pytest.mark.filterwarnings("error")
