@@ -17,7 +17,8 @@ The package exports what the CLI, the demos and the acceptance tests
 use: the model and prior types, the scoring path (``precompute_session``,
 ``llr``, ``score_trials`` and ``q_term``, which all take raw vectors),
 file I/O, synthetic data, detection metrics and the slow covariance
-oracle.
+oracle. A ``ModelParams`` checks itself when it is built, so none of
+these checks a model again.
 """
 
 from . import io, metrics, oracle, synth
@@ -47,7 +48,7 @@ from .hypothesis import (
     hypothesis_log_prior,
 )
 from .metrics import ScoredTrials, calibration_identity, eer
-from .model import ModelParams, collapse_to_plda, stack_w, validate
+from .model import ModelParams, collapse_to_plda, stack_w
 from .scoring import ScoringSession, llr, precompute_session, q_term, score_trials
 from .synth import (
     SyntheticDataset,
@@ -101,5 +102,4 @@ __all__ = [
     "score_trials",
     "stack_w",
     "synth",
-    "validate",
 ]

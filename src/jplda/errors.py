@@ -6,8 +6,9 @@ class JpldaError(Exception):
 
 
 class DimensionMismatch(JpldaError):
-    """Model matrices disagree on a shared dimension, or an input vector's
-    length is not the model's dimension d."""
+    """Model matrices disagree on a shared dimension, an input vector's
+    length is not the model's dimension d, or a tie vector's length is not
+    the model's number of conditions N."""
 
 
 class NonFinite(JpldaError):
@@ -50,7 +51,8 @@ class OrphanLatent(JpldaError):
 
 
 class MalformedFile(JpldaError):
-    """A text input file does not follow its format."""
+    """A text input file does not follow its format, or an id to be written
+    could not be read back from one."""
 
 
 class ModelFileError(JpldaError):

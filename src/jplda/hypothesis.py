@@ -7,6 +7,7 @@ copies ("different", untied). Scoring marginalizes over all 2^N
 combinations of condition hypotheses inside each speaker branch.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,12 +82,7 @@ def enumerate_condition_hypotheses(n_conditions: int) -> list:
     """
     if n_conditions < 0:
         raise ValueError("n_conditions must be >= 0")
-    out = []
-    for k in range(2**n_conditions):
-        out.append(
-            tuple(not (k >> (n_conditions - 1 - j)) & 1 for j in range(n_conditions))
-        )
-    return out
+    return list(itertools.product((True, False), repeat=n_conditions))
 
 
 def hypothesis_log_prior(h: HypothesisVector, priors: PriorConfig) -> float:

@@ -2,9 +2,12 @@
 
 The model file is binary for bit-exact round trips; everything humans
 edit (embeddings, trial lists, priors, scores) is plain text with tab
-delimiters and "." decimals regardless of locale.
+delimiters and "." decimals regardless of locale. An id is any non-empty
+string without a tab, LF or CR; the writers reject other ids before
+they open the file.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -18,7 +21,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .hypothesis import PriorConfig
-from .model import ModelParams, validate
+from .model import ModelParams
 from .synth import SyntheticDataset
 
 __all__ = [
@@ -42,6 +45,7 @@ FORMAT_VERSION = 1
 
 # 17 significant digits round-trip any 64-bit float exactly
 _FLOAT_FMT = "{:.17g}"
+_ID = re.compile(r"[^\t\n\r]+")
 
 
 def _f64_bytes(a: np.ndarray) -> bytes:
@@ -55,7 +59,6 @@ def save_model(model: ModelParams, path) -> None:
     then the N values R_xj, then row-major little-endian float64 blocks
     mu, V, U_1 ... U_N, D.
     """
-    validate(model)
     header = MAGIC + struct.pack(
         "<4I", FORMAT_VERSION, model.d, model.r_y, model.n_conditions
     )
@@ -92,30 +95,23 @@ def load_model(path) -> ModelParams:
     r_x = struct.unpack_from(f"<{n_cond}I", blob, off)
     off += 4 * n_cond
 
-    n_floats = d + d * r_y + sum(d * r for r in r_x) + d * d
-    expected = off + 8 * n_floats
-    if len(blob) != expected:
+    shapes = [(d,), (d, r_y), *((d, r) for r in r_x), (d, d)]
+    n_floats = sum(int(np.prod(shape)) for shape in shapes)
+    if len(blob) != off + 8 * n_floats:
         raise TruncatedPayload(
             f"{path}: payload is {len(blob) - off} bytes, header implies {8 * n_floats}"
         )
-
-    def take(shape):
-        nonlocal off
+    # views into the file's bytes: ModelParams makes the only copy
+    arrays = []
+    for shape in shapes:
         count = int(np.prod(shape))
-        a = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape))
         off += 8 * count
-        return a.astype(np.float64)
-
-    mu = take((d,))
-    v = take((d, r_y))
-    u = tuple(take((d, r)) for r in r_x)
-    big_d = take((d, d))
+    mu, v, *u, big_d = arrays
     try:
-        model = ModelParams(mu=mu, V=v, U=u, D=big_d)
-        validate(model)
+        return ModelParams(mu=mu, V=v, U=tuple(u), D=big_d)
     except JpldaError as exc:
         raise ValidationFailed(f"{path}: {exc}") from exc
-    return model
 
 
 # text tables ------------------------------------------------------------
@@ -130,8 +126,16 @@ def _tsv_rows(path):
                 yield lineno, line.split("\t")
 
 
+def _check_ids(path, ids) -> None:
+    """Raise MalformedFile naming the first id that the text loaders would misread."""
+    for name in ids:
+        if not _ID.fullmatch(str(name)):
+            raise MalformedFile(f"{path}: id {name!r} is empty or holds a tab, LF or CR")
+
+
 def save_embeddings(path, embeddings) -> None:
     """Write id<TAB>float... rows from a mapping of id to vector."""
+    _check_ids(path, embeddings)
     with open(path, "w", encoding="utf-8") as f:
         for name, vec in embeddings.items():
             row = "\t".join(_FLOAT_FMT.format(x) for x in np.asarray(vec, dtype=np.float64))
@@ -164,6 +168,8 @@ def load_embeddings(path) -> dict:
 
 def save_trials(path, trials, labels=None) -> None:
     """Write enroll<TAB>test rows, with target/nontarget labels if given."""
+    trials = list(trials)
+    _check_ids(path, (i for pair in trials for i in pair))
     with open(path, "w", encoding="utf-8") as f:
         for i, (eid, tid) in enumerate(trials):
             if labels is None:
@@ -254,6 +260,8 @@ def load_priors(path) -> PriorConfig:
 
 def save_scores(path, trials, scores) -> None:
     """Write enroll<TAB>test<TAB>score rows; 17 significant digits."""
+    trials = list(trials)
+    _check_ids(path, (i for pair in trials for i in pair))
     with open(path, "w", encoding="utf-8") as f:
         for (eid, tid), s in zip(trials, scores):
             f.write(f"{eid}\t{tid}\t" + _FLOAT_FMT.format(float(s)) + "\n")

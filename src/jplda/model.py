@@ -7,7 +7,9 @@ residual noise with precision ``D``::
     m = mu + V y + sum_j U_j x_j + eps,   y, x_j ~ N(0, I),  eps ~ N(0, D^-1)
 
 Each ``y`` is shared by all samples of one speaker and each ``x_j`` by
-all samples with the same label for condition ``j``.
+all samples with the same label for condition ``j``. Every way of
+building a ``ModelParams``, ``dataclasses.replace`` included, checks it,
+so a model that exists is valid.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import scipy.linalg as sla
 
 from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmetric
 
-__all__ = ["ModelParams", "validate", "stack_w", "collapse_to_plda"]
+__all__ = ["ModelParams", "stack_w", "collapse_to_plda"]
 
 # symmetry check is relative to the largest entry of D
 _SYMMETRY_TOL = 1e-10
@@ -33,7 +35,7 @@ def _frozen_array(a, ndim, what):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable container for the model parameters.
+    """Immutable container for the model parameters, valid by construction.
 
     Attributes:
       mu: global mean, shape (d,). Subtracted from every input at scoring
@@ -43,6 +45,15 @@ class ModelParams:
         each R_xj >= 1. May be an empty tuple.
       D: noise precision, shape (d, d), symmetric positive definite.
         The noise covariance is D^-1.
+
+    Raises:
+      DimensionMismatch: an array of the wrong rank, a matrix without d
+        rows, an empty condition subspace (R_xj == 0), or D not (d, d).
+      NonFinite: a NaN or an infinity; the message starts with the
+        parameter's name (mu, V, U[j] or D).
+      NotSymmetric: D deviates from its transpose by more than 1e-10
+        relative to its largest entry.
+      NotPositiveDefinite: the Cholesky factorization of D fails.
     """
 
     mu: np.ndarray
@@ -57,8 +68,29 @@ class ModelParams:
             self, "U", tuple(_frozen_array(u, 2, f"U[{j}]") for j, u in enumerate(self.U))
         )
         object.__setattr__(self, "D", _frozen_array(self.D, 2, "D"))
-        square = self.D.shape[0] == self.D.shape[1]
-        diagonal = square and not np.any(self.D - np.diag(np.diag(self.D)))
+        d = self.d
+        if self.V.shape[0] != d:
+            raise DimensionMismatch(f"V has {self.V.shape[0]} rows, expected d={d}")
+        for j, u in enumerate(self.U):
+            if u.shape[0] != d:
+                raise DimensionMismatch(f"U[{j}] has {u.shape[0]} rows, expected d={d}")
+            if u.shape[1] < 1:
+                raise DimensionMismatch(f"U[{j}] must have at least one column")
+        if self.D.shape != (d, d):
+            raise DimensionMismatch(f"D has shape {self.D.shape}, expected ({d}, {d})")
+        named = [("mu", self.mu), ("V", self.V)]
+        named += [(f"U[{j}]", u) for j, u in enumerate(self.U)] + [("D", self.D)]
+        for name, a in named:
+            if not np.all(np.isfinite(a)):
+                raise NonFinite(f"{name} contains non-finite values")
+        scale = max(1.0, float(np.max(np.abs(self.D))) if d else 1.0)
+        if d and float(np.max(np.abs(self.D - self.D.T))) > _SYMMETRY_TOL * scale:
+            raise NotSymmetric("D is not symmetric within tolerance")
+        try:
+            sla.cholesky(self.D, lower=True)
+        except (sla.LinAlgError, ValueError) as exc:
+            raise NotPositiveDefinite("D is not positive definite") from exc
+        diagonal = not np.any(self.D - np.diag(np.diag(self.D)))
         object.__setattr__(self, "diagonal_noise", bool(diagonal))
 
     # derived sizes -----------------------------------------------------
@@ -82,42 +114,6 @@ class ModelParams:
     @property
     def r_z(self) -> int:
         return self.r_y + sum(self.r_x)
-
-
-def validate(model: ModelParams) -> None:
-    """Check all model invariants; raise on the first violation.
-
-    Raises:
-      DimensionMismatch: some matrix does not have d rows, or some
-        condition subspace is empty (R_xj == 0).
-      NonFinite: some parameter array holds a NaN or an infinity.
-      NotSymmetric: D deviates from its transpose by more than 1e-10
-        relative to its largest entry.
-      NotPositiveDefinite: the Cholesky factorization of D fails.
-    """
-    d = model.d
-    if model.V.shape[0] != d:
-        raise DimensionMismatch(f"V has {model.V.shape[0]} rows, expected d={d}")
-    for j, u in enumerate(model.U):
-        if u.shape[0] != d:
-            raise DimensionMismatch(f"U[{j}] has {u.shape[0]} rows, expected d={d}")
-        if u.shape[1] < 1:
-            raise DimensionMismatch(f"U[{j}] must have at least one column")
-    if model.D.shape != (d, d):
-        raise DimensionMismatch(f"D has shape {model.D.shape}, expected ({d}, {d})")
-    named = [("mu", model.mu), ("V", model.V)]
-    named += [(f"U[{j}]", u) for j, u in enumerate(model.U)] + [("D", model.D)]
-    for name, a in named:
-        if not np.all(np.isfinite(a)):
-            raise NonFinite(f"{name} contains non-finite values")
-
-    scale = max(1.0, float(np.max(np.abs(model.D))) if d else 1.0)
-    if d and float(np.max(np.abs(model.D - model.D.T))) > _SYMMETRY_TOL * scale:
-        raise NotSymmetric("D is not symmetric within tolerance")
-    try:
-        sla.cholesky(model.D, lower=True)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NotPositiveDefinite("D is not positive definite") from exc
 
 
 def stack_w(model: ModelParams) -> np.ndarray:
@@ -146,7 +142,6 @@ def collapse_to_plda(model: ModelParams) -> ModelParams:
     Raises:
       NotPositiveDefinite: the folded covariance could not be inverted.
     """
-    validate(model)
     if model.n_conditions == 0:
         return model
     if model.diagonal_noise:

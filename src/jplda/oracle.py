@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AllHypothesesExcluded, OrphanLatent
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior
-from .model import ModelParams, stack_w, validate
+from .model import ModelParams, stack_w
 
 __all__ = [
     "LabeledLatents",
@@ -99,7 +99,6 @@ def marginal_cov(model: ModelParams, h: HypothesisVector) -> np.ndarray:
     V V^T + sum_j U_j U_j^T + D^-1; the off-diagonal block is the sum of
     the outer products of the factors that h ties across the two sides.
     """
-    validate(model)
     d = model.d
     if model.diagonal_noise:
         noise_cov = np.diag(1.0 / np.diag(model.D))
@@ -129,7 +128,6 @@ def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_tes
     evaluated the slow way: one full-covariance log-density per
     hypothesis, then a log-sum-exp per speaker branch.
     """
-    validate(model)
     pair = np.concatenate(
         [
             np.asarray(m_enroll, dtype=np.float64) - model.mu,
@@ -195,7 +193,6 @@ def per_sample_prior_logpdf(latents: LabeledLatents) -> float:
 
 def data_loglik(samples, latents: LabeledLatents, model: ModelParams) -> float:
     """Sum over samples of log N(m_i; mu + W z_i, D^-1), constants included."""
-    validate(model)
     m = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if m.shape != (latents.n_samples, model.d):
         raise ValueError(

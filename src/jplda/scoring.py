@@ -57,7 +57,7 @@ from .hypothesis import (
     hypothesis_log_prior,
     untied_columns,
 )
-from .model import ModelParams, stack_w, validate
+from .model import ModelParams, stack_w
 
 __all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trials"]
 
@@ -127,14 +127,12 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     """Factorize every hypothesis once, from one Gram matrix W^T D W.
 
     Raises:
-      NonFinite, DimensionMismatch, ...: the model fails ``validate``.
       SessionTooLarge: the whitening matrices, 24 * 2^N * R_z^2 bytes,
         would exceed ``MAX_WHITENING_BYTES``; checked before anything is
         allocated or factorized.
       FactorizationFailed: some posterior precision was not numerically
         SPD (overflowing or otherwise broken model parameters).
     """
-    validate(model)
     if priors.n_conditions != model.n_conditions:
         raise ValueError(
             f"priors cover {priors.n_conditions} conditions, model has {model.n_conditions}"
@@ -278,11 +276,17 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
     sums for the same inputs.
 
     Raises:
-      DimensionMismatch, NonFinite: as ``llr`` for its inputs.
-      NonFinite: the term is NaN or +inf because the trial's whitened
-        projections overflowed.
+      DimensionMismatch: ``h`` does not have one entry per condition;
+        otherwise as ``llr`` for its inputs.
+      NonFinite: as ``llr`` for its inputs, or the term is NaN or +inf
+        because the trial's whitened projections overflowed.
     """
     hv = HypothesisVector(speaker_tied, tuple(h))
+    if len(hv.condition_tied) != session.model.n_conditions:
+        raise DimensionMismatch(
+            f"tie vector has length {len(hv.condition_tied)}, "
+            f"the model has {session.model.n_conditions} conditions"
+        )
     i = session.factorizations[hv]
     q = float(_q_block(session, *_one_trial(session, m_enroll, m_test)).reshape(-1)[i])
     if math.isnan(q) or q == math.inf:

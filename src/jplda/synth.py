@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
-from .model import ModelParams, validate
+from .model import ModelParams
 
 __all__ = [
     "SyntheticDataset",
@@ -70,7 +70,6 @@ def sample_dataset(
     Draw order (one PCG64 stream): condition labels (uniform-random mode
     only), speaker latents, condition latents in condition order, noise.
     """
-    validate(model)
     cards = [int(c) for c in condition_cardinalities]
     if n_speakers < 1 or samples_per_speaker < 1 or any(c < 1 for c in cards):
         raise ValueError("speaker count, samples per speaker, and cardinalities must be >= 1")
@@ -139,7 +138,6 @@ def _pairs_from_rng(
 
 def sample_trial_pairs(model: ModelParams, h: HypothesisVector, n_pairs: int, seed: int = 0):
     """n_pairs independent trials under one hypothesis; returns (ME, MT) matrices."""
-    validate(model)
     if len(h.condition_tied) != model.n_conditions:
         raise ValueError("hypothesis length does not match the model")
     if n_pairs < 0:
@@ -168,7 +166,6 @@ def make_benchmark(
       of (enroll_id, test_id) pairs, and a boolean array marking the
       target trials.
     """
-    validate(model)
     if priors.n_conditions != model.n_conditions:
         raise ValueError("priors do not match the model's condition count")
     if n_target < 0 or n_nontarget < 0:

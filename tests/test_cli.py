@@ -53,6 +53,13 @@ def test_score_then_eval(pipeline, capsys):
     assert out.startswith("EER ") and "\nCAL " in out
 
 
+def test_score_priors_for_more_conditions_than_model(pipeline, capsys):
+    io.save_priors(pipeline["priors"], PriorConfig((0.8, 0.6, 0.5), (0.2, 0.4, 0.5)))
+    assert run_score(pipeline) == 1
+    assert "priors cover 3 conditions, model has 2" in capsys.readouterr().err
+    assert not pipeline["scores"].exists()
+
+
 def test_score_empty_trials(pipeline, tmp_path):
     empty = tmp_path / "none.tsv"
     empty.write_text("")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,23 @@ def test_tables_count_blank_lines(tmp_path, loader, text, message):
     path.write_text(text)
     with pytest.raises(MalformedFile, match=f"table.tsv:3: {message}"):
         loader(path)
+
+
+@pytest.mark.parametrize("bad", ["", "x\ty", "x\ny", "x\ry"], ids=["empty", "tab", "lf", "cr"])
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path, bad: io.save_embeddings(path, {"a": np.zeros(2), bad: np.ones(2)}),
+        lambda path, bad: io.save_trials(path, [("a", "b"), ("a", bad)]),
+        lambda path, bad: io.save_scores(path, [("a", "b"), (bad, "b")], [0.0, 1.0]),
+    ],
+    ids=["embeddings", "trials", "scores"],
+)
+def test_writers_reject_ids_the_loaders_misread(tmp_path, write, bad):
+    path = tmp_path / "table.tsv"
+    with pytest.raises(MalformedFile, match=re.escape(f"id {bad!r} is empty or holds")):
+        write(path, bad)
+    assert not path.exists()
 
 
 def test_dataset_files_reload_consistently(rng, tmp_path):

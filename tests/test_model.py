@@ -1,3 +1,7 @@
+import dataclasses
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,12 +11,44 @@ from jplda import (
     NonFinite,
     NotPositiveDefinite,
     NotSymmetric,
+    ValidationFailed,
     collapse_to_plda,
+    io,
     stack_w,
-    validate,
 )
 
 from conftest import random_model
+
+
+def valid_arrays():
+    """Fresh parameter arrays of a valid 3-d model with one condition."""
+    return {"mu": np.zeros(3), "V": np.ones((3, 1)), "U": (np.ones((3, 2)),), "D": np.eye(3)}
+
+
+def write_model_file(path, mu, V, U, D):
+    """Write ``io``'s binary model layout for any arrays, valid or not."""
+    header = io.MAGIC + struct.pack("<4I", io.FORMAT_VERSION, len(mu), V.shape[1], len(U))
+    header += struct.pack(f"<{len(U)}I", *(u.shape[1] for u in U))
+    path.write_bytes(header + b"".join(np.asarray(a, "<f8").tobytes() for a in (mu, V, *U, D)))
+
+
+def assert_rejected(tmp_path, exc, match=None, **bad):
+    """Valid parameters with ``bad`` swapped in raise ``exc`` from the
+    constructor and from ``dataclasses.replace`` on a valid model. With a
+    ``tmp_path``, the same arrays written as a model file make
+    ``io.load_model`` raise ValidationFailed caused by ``exc``."""
+    arrays = {**valid_arrays(), **bad}
+    with pytest.raises(exc, match=match):
+        ModelParams(**arrays)
+    with pytest.raises(exc, match=match):
+        dataclasses.replace(ModelParams(**valid_arrays()), **bad)
+    if tmp_path is not None:
+        path = tmp_path / "bad.jplda"
+        write_model_file(path, **arrays)
+        with pytest.raises(ValidationFailed) as info:
+            io.load_model(path)
+        assert isinstance(info.value.__cause__, exc)
+        assert re.search(match or "", str(info.value.__cause__))
 
 
 def test_validate_accepts_identity_precision():
@@ -22,65 +58,44 @@ def test_validate_accepts_identity_precision():
         U=(np.zeros((4, 1)), np.zeros((4, 3))),
         D=np.eye(4),
     )
-    validate(model)
+    assert dataclasses.replace(model, mu=np.ones(4)).diagonal_noise
 
 
 def test_validate_rejects_row_mismatch():
-    model = ModelParams(
-        mu=np.zeros(5),
-        V=np.zeros((5, 2)),
-        U=(np.zeros((4, 1)),),
-        D=np.eye(5),
-    )
-    with pytest.raises(DimensionMismatch):
-        validate(model)
+    # one d in the file header: a row mismatch cannot be written to a file
+    assert_rejected(None, DimensionMismatch, U=(np.zeros((2, 1)),))
 
 
-def test_validate_rejects_indefinite_precision():
-    model = ModelParams(mu=np.zeros(2), V=np.zeros((2, 1)), U=(), D=np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefinite):
-        validate(model)
+def test_validate_rejects_indefinite_precision(tmp_path):
+    assert_rejected(tmp_path, NotPositiveDefinite, D=np.diag([1.0, -1.0, 1.0]))
 
 
-def test_validate_rejects_asymmetric_precision():
-    d = np.eye(2)
+def test_validate_rejects_asymmetric_precision(tmp_path):
+    d = np.eye(3)
     d[0, 1] = 1e-3
-    model = ModelParams(mu=np.zeros(2), V=np.zeros((2, 1)), U=(), D=d)
-    with pytest.raises(NotSymmetric):
-        validate(model)
+    assert_rejected(tmp_path, NotSymmetric, D=d)
 
 
-def test_validate_rejects_empty_condition_subspace():
-    model = ModelParams(mu=np.zeros(2), V=np.zeros((2, 1)), U=(np.zeros((2, 0)),), D=np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        validate(model)
+def test_validate_rejects_empty_condition_subspace(tmp_path):
+    assert_rejected(tmp_path, DimensionMismatch, U=(np.zeros((3, 0)),))
 
 
-def nan_in(name):
-    """A 3-d model with one NaN in the parameter called ``name``."""
-    arrays = {"mu": np.zeros(3), "V": np.ones((3, 1)), "U[0]": np.ones((3, 2)), "D": np.eye(3)}
-    arrays[name].flat[0] = np.nan
-    return ModelParams(mu=arrays["mu"], V=arrays["V"], U=(arrays["U[0]"],), D=arrays["D"])
+def test_validate_rejects_nan_mean(tmp_path):
+    assert_rejected(tmp_path, NonFinite, r"^mu ", mu=np.array([np.nan, 0.0, 0.0]))
 
 
-def test_validate_rejects_nan_mean():
-    with pytest.raises(NonFinite, match=r"^mu "):
-        validate(nan_in("mu"))
+def test_validate_rejects_nan_speaker_subspace(tmp_path):
+    assert_rejected(tmp_path, NonFinite, r"^V ", V=np.array([[np.nan], [1.0], [1.0]]))
 
 
-def test_validate_rejects_nan_speaker_subspace():
-    with pytest.raises(NonFinite, match=r"^V "):
-        validate(nan_in("V"))
+def test_validate_rejects_nan_condition_subspace(tmp_path):
+    u = np.ones((3, 2))
+    u[0, 0] = np.nan
+    assert_rejected(tmp_path, NonFinite, r"^U\[0\] ", U=(u,))
 
 
-def test_validate_rejects_nan_condition_subspace():
-    with pytest.raises(NonFinite, match=r"^U\[0\] "):
-        validate(nan_in("U[0]"))
-
-
-def test_validate_rejects_nan_noise_precision():
-    with pytest.raises(NonFinite, match=r"^D "):
-        validate(nan_in("D"))
+def test_validate_rejects_nan_noise_precision(tmp_path):
+    assert_rejected(tmp_path, NonFinite, r"^D ", D=np.diag([np.nan, 1.0, 1.0]))
 
 
 def test_parameters_are_read_only():
@@ -157,4 +172,4 @@ def test_collapse_preserves_total_marginal_covariance(rng):
 
 def test_collapsed_precision_passes_validation(rng):
     model = random_model(rng, 5, 2, (2, 2))
-    validate(collapse_to_plda(model))
+    dataclasses.replace(collapse_to_plda(model))  # re-runs every model check

@@ -118,8 +118,8 @@ def test_session_size_guard_runs_before_factorizing(rng, factorizations, monkeyp
 
 
 def test_session_names_nan_loadings():
-    model = ModelParams(mu=np.zeros(2), V=np.array([[np.nan], [1.0]]), U=(), D=np.eye(2))
     with pytest.raises(NonFinite, match="V"):
+        model = ModelParams(mu=np.zeros(2), V=np.array([[np.nan], [1.0]]), U=(), D=np.eye(2))
         precompute_session(model, PriorConfig.uniform(0))
 
 
@@ -233,6 +233,15 @@ def test_q_term_log_sum_exp_equals_llr(rng):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [(True,), (True, True, True)], ids=["short", "long"])
+def test_q_term_rejects_wrong_length_tie_vector(rng, h):
+    model = random_model(rng, 3, 1, (1, 2))
+    session = precompute_session(model, PriorConfig.uniform(2))
+    # the wrong-width enroll vector shows that the tie vector is checked first
+    with pytest.raises(DimensionMismatch, match=f"^tie vector has length {len(h)}, the model has 2 "):
+        q_term(session, True, h, np.zeros(4), model.mu)
+
+
 def test_q_term_overflow_raises_non_finite(rng):
     # 1e200 embeddings overflow the whitened projections: the prior-1/2
     # term would be +inf and the prior-0 term NaN
