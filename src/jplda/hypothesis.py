@@ -11,16 +11,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import ModelParams
-
 __all__ = [
     "HypothesisVector",
     "PriorConfig",
     "enumerate_condition_hypotheses",
     "hypothesis_log_prior",
-    "untied_columns",
 ]
 
 
@@ -103,11 +98,3 @@ def hypothesis_log_prior(h: HypothesisVector, priors: PriorConfig) -> float:
             return -math.inf
         total += math.log(factor)
     return total
-
-
-def untied_columns(model: ModelParams, h: HypothesisVector) -> np.ndarray:
-    """Ascending indices of the columns of W = [V | U_1 | ... | U_N] that
-    ``h`` leaves untied: V's iff the speaker is untied, U_j's iff
-    condition j is."""
-    flags = (h.speaker_tied,) + h.condition_tied
-    return np.flatnonzero(np.repeat(np.logical_not(flags), (model.r_y,) + model.r_x))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .errors import DimensionMismatch
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
 from .model import ModelParams
 
@@ -42,14 +43,21 @@ class SyntheticDataset:
     seed: int
 
 
-def _noise(model: ModelParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n rows of N(0, D^-1) noise."""
-    e = rng.standard_normal((n, model.d))
+def _noise_factor(model: ModelParams) -> np.ndarray:
+    """What ``_noise`` draws with: sqrt(diag D) for a diagonal D, else the
+    lower Cholesky factor L of D. Each public function computes it once."""
     if model.diagonal_noise:
-        return e / np.sqrt(np.diag(model.D))
-    chol = sla.cholesky(model.D, lower=True)
+        return np.sqrt(np.diag(model.D))
+    return sla.cholesky(model.D, lower=True)
+
+
+def _noise(factor: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of N(0, D^-1) noise, given ``_noise_factor(model)``."""
+    e = rng.standard_normal((n, factor.shape[0]))
+    if factor.ndim == 1:
+        return e / factor
     # eps = L^-T e  gives cov (L L^T)^-1 = D^-1
-    return sla.solve_triangular(chol, e.T, lower=True, trans="T").T
+    return sla.solve_triangular(factor, e.T, lower=True, trans="T").T
 
 
 def sample_dataset(
@@ -74,7 +82,7 @@ def sample_dataset(
     if n_speakers < 1 or samples_per_speaker < 1 or any(c < 1 for c in cards):
         raise ValueError("speaker count, samples per speaker, and cardinalities must be >= 1")
     if len(cards) != model.n_conditions:
-        raise ValueError(
+        raise DimensionMismatch(
             f"{len(cards)} cardinalities given, model has {model.n_conditions} conditions"
         )
     if assignment not in ("uniform-random", "round-robin"):
@@ -96,7 +104,7 @@ def sample_dataset(
     for j, (u, c) in enumerate(zip(model.U, cards)):
         x = rng.standard_normal((c, u.shape[1]))
         embeddings += x[condition_labels[j]] @ u.T
-    embeddings += _noise(model, n_total, rng)
+    embeddings += _noise(_noise_factor(model), n_total, rng)
 
     ids = tuple(f"u{i:06d}" for i in range(n_total))
     return SyntheticDataset(
@@ -109,7 +117,11 @@ def sample_dataset(
 
 
 def _pairs_from_rng(
-    model: ModelParams, h: HypothesisVector, n_pairs: int, rng: np.random.Generator
+    model: ModelParams,
+    noise_factor: np.ndarray,
+    h: HypothesisVector,
+    n_pairs: int,
+    rng: np.random.Generator,
 ):
     """Batch of trial pairs under one full hypothesis, sharing tied latents.
 
@@ -131,8 +143,8 @@ def _pairs_from_rng(
             z_t = rng.standard_normal((n_pairs, r))
         m_e += z_e @ block.T
         m_t += z_t @ block.T
-    m_e += _noise(model, n_pairs, rng)
-    m_t += _noise(model, n_pairs, rng)
+    m_e += _noise(noise_factor, n_pairs, rng)
+    m_t += _noise(noise_factor, n_pairs, rng)
     return m_e, m_t
 
 
@@ -142,7 +154,7 @@ def sample_trial_pairs(model: ModelParams, h: HypothesisVector, n_pairs: int, se
         raise ValueError("hypothesis length does not match the model")
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    return _pairs_from_rng(model, h, n_pairs, np.random.default_rng(seed))
+    return _pairs_from_rng(model, _noise_factor(model), h, n_pairs, np.random.default_rng(seed))
 
 
 def sample_trial_pair(model: ModelParams, h: HypothesisVector, seed: int = 0):
@@ -167,7 +179,9 @@ def make_benchmark(
       target trials.
     """
     if priors.n_conditions != model.n_conditions:
-        raise ValueError("priors do not match the model's condition count")
+        raise DimensionMismatch(
+            f"priors cover {priors.n_conditions} conditions, model has {model.n_conditions}"
+        )
     if n_target < 0 or n_nontarget < 0:
         raise ValueError("trial counts must be >= 0")
 
@@ -181,6 +195,7 @@ def make_benchmark(
 
     m_e = np.empty((n_trials, model.d))
     m_t = np.empty((n_trials, model.d))
+    noise_factor = _noise_factor(model)
     for speaker_tied, ties, offset in ((True, tie_t, 0), (False, tie_n, n_target)):
         for cond in enumerate_condition_hypotheses(n_cond):
             rows = np.nonzero(np.all(ties == np.asarray(cond, dtype=bool), axis=1))[0]
@@ -188,7 +203,7 @@ def make_benchmark(
                 continue
             h = HypothesisVector(speaker_tied, cond)
             m_e[offset + rows], m_t[offset + rows] = _pairs_from_rng(
-                model, h, rows.size, rng
+                model, noise_factor, h, rows.size, rng
             )
 
     embeddings = {}

@@ -16,12 +16,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from jplda import HypothesisVector, enumerate_condition_hypotheses, stack_w
-from jplda.hypothesis import untied_columns
 
 
 def split_columns(model, h):
-    """(tied, untied) column indices of the stacked W for hypothesis h."""
-    untied = untied_columns(model, h)
+    """(tied, untied) ascending column indices of W = [V | U_1 | ... | U_N]
+    for hypothesis h: V's are untied iff the speaker is, U_j's iff
+    condition j is."""
+    flags = (h.speaker_tied,) + h.condition_tied
+    untied = np.flatnonzero(np.repeat(np.logical_not(flags), (model.r_y,) + model.r_x))
     return np.setdiff1d(np.arange(model.r_z), untied), untied
 
 

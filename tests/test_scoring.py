@@ -85,36 +85,47 @@ def test_k_sum_no_untied_block(rng):
 
 
 def test_session_counts_and_reconstruction(rng, factorizations):
-    # each hypothesis' two whitening blocks reproduce the log-determinant
-    # and the quadratic form of its full posterior precision
-    for n_cond, expected in ((2, 8), (0, 2)):
-        r_x = (1, 2)[:n_cond]
-        model = random_model(rng, 4, 2, r_x)
+    # one factorization per hypothesis, and each hypothesis' term is the
+    # log-determinant, prior and quadratic form of its full posterior
+    # precision: at N = 2, N = 0, N = 3 (four tree levels), with a rank-0
+    # speaker subspace (an empty first level) and with R_z > d
+    for d, r_y, r_x in ((4, 2, (1, 2)), (4, 2, ()), (4, 2, (1, 2, 1)), (4, 0, (1, 2)),
+                        (3, 2, (2, 1))):
+        model = random_model(rng, d, r_y, r_x)
+        priors = random_priors(rng, len(r_x))
         factorizations.clear()
-        session = precompute_session(model, PriorConfig.uniform(n_cond))
-        assert len(session.factorizations) == expected
-        assert len(factorizations) == expected
-        m_e, m_t = rng.standard_normal(4), rng.standard_normal(4)
-        p_e, p_t = session.project(m_e), session.project(m_t)
-        r_z, starts = model.r_z, session.diff_starts
-        for h, i in session.factorizations.items():
+        session = precompute_session(model, priors)
+        assert len(session.factorizations) == 2 ** (len(r_x) + 1)
+        assert len(factorizations) == 2 ** (len(r_x) + 1)
+        m_e, m_t = rng.standard_normal((2, d))
+        for h in session.factorizations:
             k = build_k_sum(gram(model), model, h)
-            n_d = split_columns(model, h)[1].size
             sign, logdet = np.linalg.slogdet(k)
             assert sign == 1.0
-            assert session.half_log_det_sigma[i] == pytest.approx(-0.5 * logdet, rel=1e-10)
             phi = compute_phi(session, h, m_e, m_t)
-            x = session.w_sum[i * r_z : (i + 1) * r_z] @ (p_e + p_t)
-            y = session.w_diff[starts[i] : starts[i] + n_d] @ (p_e - p_t)
-            assert x @ x + y @ y == pytest.approx(phi @ np.linalg.solve(k, phi), rel=1e-10)
+            quad = phi @ np.linalg.solve(k, phi)
+            want = -0.5 * logdet + hypothesis_log_prior(h, priors) + 0.5 * quad
+            got = q_term(session, h.speaker_tied, h.condition_tied, m_e + model.mu, m_t + model.mu)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_session_size_guard_runs_before_factorizing(rng, factorizations, monkeypatch):
     model = random_model(rng, 4, 2, (1, 2))
-    monkeypatch.setattr(scoring, "MAX_WHITENING_BYTES", 24 * 4 * 5**2 - 1)
-    with pytest.raises(SessionTooLarge, match=r"N=2 .*R_z=5 .*2400 bytes"):
+    session = precompute_session(model, PriorConfig.uniform(2))
+    nbytes = session.w_sum.nbytes + session.w_diff.nbytes
+    monkeypatch.setattr(scoring, "MAX_WHITENING_BYTES", nbytes)
+    precompute_session(model, PriorConfig.uniform(2))
+    factorizations.clear()
+    monkeypatch.setattr(scoring, "MAX_WHITENING_BYTES", nbytes - 1)
+    with pytest.raises(SessionTooLarge, match=rf"N=2 .*R_z=5 .*{nbytes} bytes"):
         precompute_session(model, PriorConfig.uniform(2))
     assert factorizations == []
+
+
+def test_session_rejects_priors_for_other_condition_count(rng):
+    model = random_model(rng, 3, 1, (1, 2))
+    with pytest.raises(DimensionMismatch, match="^priors cover 3 conditions, model has 2$"):
+        precompute_session(model, PriorConfig.uniform(3))
 
 
 def test_session_names_nan_loadings():
@@ -377,6 +388,19 @@ def test_llr_within_relative_budget_of_mp_reference(rng):
                 rng, int(rng.integers(2, 5)), int(rng.integers(0, 3)), r_x, cond
             )
             priors = random_priors(rng, n)
+            m_e, m_t = rng.standard_normal((2, model.d))
+            ref = mp_llr(model, priors, m_e, m_t)
+            err = float(abs(llr(precompute_session(model, priors), m_e, m_t) - ref))
+            assert err <= 64 * eps * np.linalg.cond(model.D) * max(1.0, abs(float(ref)))
+
+
+def test_llr_three_conditions_within_relative_budget_of_mp_reference(rng):
+    # four tree levels, under the budget of the test above
+    eps = np.finfo(np.float64).eps
+    for cond in (1.0, 1e6):
+        for r_y in (0, 2):
+            model = conditioned_model(rng, 3, r_y, (1, 2, 1), cond)
+            priors = random_priors(rng, 3)
             m_e, m_t = rng.standard_normal((2, model.d))
             ref = mp_llr(model, priors, m_e, m_t)
             err = float(abs(llr(precompute_session(model, priors), m_e, m_t) - ref))

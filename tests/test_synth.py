@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jplda import (
+    DimensionMismatch,
     HypothesisVector,
     PriorConfig,
     make_benchmark,
@@ -9,6 +10,7 @@ from jplda import (
     sample_trial_pair,
     sample_trial_pairs,
 )
+from jplda import synth
 from jplda.oracle import marginal_cov
 
 from conftest import random_model
@@ -47,7 +49,7 @@ def test_dataset_rejects_bad_counts(rng):
     model = random_model(rng, 2, 1, (2,))
     with pytest.raises(ValueError):
         sample_dataset(model, 0, (2,), 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="^2 cardinalities given, model has 1 conditions$"):
         sample_dataset(model, 2, (2, 2), 3, seed=0)
 
 
@@ -113,6 +115,26 @@ def test_benchmark_counts_and_key(rng):
     assert len(emb) == 24
     assert all(e in emb and t in emb for e, t in trials)
     np.testing.assert_array_equal(key, np.arange(12) < 7)
+
+
+def test_benchmark_rejects_priors_for_other_condition_count(rng):
+    model = random_model(rng, 3, 1, (1,))
+    with pytest.raises(DimensionMismatch, match="^priors cover 2 conditions, model has 1$"):
+        make_benchmark(model, PriorConfig.uniform(2), 2, 2, seed=0)
+
+
+def test_benchmark_factorizes_full_noise_once(rng, monkeypatch):
+    model = random_model(rng, 3, 1, (1, 1))
+    calls = []
+    real = synth.sla.cholesky
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth.sla, "cholesky", spy)
+    make_benchmark(model, PriorConfig.uniform(2), 20, 20, seed=3)
+    assert len(calls) == 1
 
 
 def test_benchmark_no_targets(rng):
