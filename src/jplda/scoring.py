@@ -338,7 +338,7 @@ def _project_raw(session: ScoringSession, m, what: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{what} has shape {m.shape}, expected a vector of length {session.model.d}"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite(f"{what} contains non-finite values")
     return session.project(m - session.model.mu)
 

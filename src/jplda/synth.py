@@ -151,7 +151,10 @@ def _pairs_from_rng(
 def sample_trial_pairs(model: ModelParams, h: HypothesisVector, n_pairs: int, seed: int = 0):
     """n_pairs independent trials under one hypothesis; returns (ME, MT) matrices."""
     if len(h.condition_tied) != model.n_conditions:
-        raise ValueError("hypothesis length does not match the model")
+        raise DimensionMismatch(
+            f"tie vector has length {len(h.condition_tied)}, "
+            f"the model has {model.n_conditions} conditions"
+        )
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
     return _pairs_from_rng(model, _noise_factor(model), h, n_pairs, np.random.default_rng(seed))

@@ -1,7 +1,12 @@
+import os
 import re
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jplda import (
     BadMagic,
@@ -107,6 +112,123 @@ def test_embeddings_reject_bad_float(tmp_path):
     path.write_text("a\tblue\n")
     with pytest.raises(MalformedFile):
         io.load_embeddings(path)
+
+
+# block parse against the row reader ---------------------------------------
+
+# values that float() and numpy's parser may read differently, or reject
+ODD_VALUES = [
+    "1_0", "\uff11", " 1.5", "1.5 ", "1.5\x1c", "\x1f2", "nan", "-nan", "-0", "inf",
+    "1e400", "4.9e-324", "1.7976931348623159e308", "", " ", "\x0b", "blue", "0x10",
+]
+# str.isspace() characters: float() strips all but "\x1c"-"\x1f", numpy all
+SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+# ids may hold characters that str.splitlines, but not a text file, breaks on
+ID_CHARS = "ab \x0b\x0c\x1c\x85\u2028"
+FLOAT17 = st.floats().map("{:.17g}".format)
+
+
+@st.composite
+def embedding_tables(draw):
+    """Table text of 17-digit rows, some with one oddity each: an extra or
+    odd value, a trailing tab, a padded value or a blank line after it."""
+    width = draw(st.integers(0, 3))
+    names = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), max_size=10, unique=True))
+    if names and draw(st.integers(0, 3)) == 0:
+        # an empty or a repeated id
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from([*names, ""])))
+    lines = []
+    for name in names:
+        fields = [name, *draw(st.lists(FLOAT17, min_size=width, max_size=width))]
+        oddity = draw(st.integers(0, 9))
+        if oddity == 1:
+            fields.append(draw(FLOAT17))
+        elif oddity == 2 and width:
+            fields[draw(st.integers(1, width))] = draw(st.sampled_from(ODD_VALUES))
+        elif oddity == 3:
+            fields.append("")
+        elif oddity == 5 and width:
+            pad = draw(st.sampled_from(SPACES))
+            fields[-1] = draw(st.sampled_from([pad + fields[-1], fields[-1] + pad]))
+        lines.append("\t".join(fields))
+        if oddity == 4:
+            lines.append("")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(load, path):
+    """Ids with each vector's dtype, shape and bytes, or the error's type and text."""
+    try:
+        table = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(name, vec.dtype, vec.shape, vec.tobytes()) for name, vec in table.items()]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(embedding_tables(), st.sampled_from([1, 2, 3, io._BLOCK_ROWS]))
+def test_block_parse_matches_row_reader(text, block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "emb.tsv")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+            got = _outcome(io.load_embeddings, path)
+        assert got == _outcome(io._embeddings_by_row, path)
+
+
+def _table_lines(n_rows, width):
+    return [f"id{i}\t" + "\t".join([f"{i}.25"] * width) for i in range(n_rows)]
+
+
+def test_block_parse_covers_several_blocks(rng, tmp_path):
+    path = tmp_path / "emb.tsv"
+    # every bit pattern: subnormals, infinities, NaNs, 17-digit values
+    bits = rng.integers(0, 2**64, size=(2 * io._BLOCK_ROWS + 5, 3), dtype=np.uint64)
+    table = {f"id{i}": row for i, row in enumerate(bits.view(np.float64))}
+    io.save_embeddings(path, table)
+    by_block = io._embeddings_by_block(path)
+    assert by_block is not None
+    assert _outcome(lambda p: by_block, path) == _outcome(io._embeddings_by_row, path)
+
+
+def test_block_parse_names_bad_float_after_first_block(tmp_path):
+    path = tmp_path / "emb.tsv"
+    lines = _table_lines(io._BLOCK_ROWS + 40, 2)
+    lines[5] = ""
+    lines[io._BLOCK_ROWS + 20] = "x\t1.0\tblue"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFile, match=f"emb.tsv:{io._BLOCK_ROWS + 21}: bad float"):
+        io.load_embeddings(path)
+
+
+def test_block_parse_names_width_change_between_blocks(tmp_path):
+    # each block is rectangular on its own, so numpy accepts both
+    path = tmp_path / "emb.tsv"
+    n = io._BLOCK_ROWS
+    lines = _table_lines(n, 2) + [f"late{i}\t1\t2\t3" for i in range(10)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFile, match=f"emb.tsv:{n + 1}: row has 3 values, expected 2"):
+        io.load_embeddings(path)
+
+
+def test_values_only_one_parser_reads(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a\t1_0\t2\n", encoding="utf-8")
+    assert io.load_embeddings(path)["a"].tolist() == [10.0, 2.0]
+    path.write_text("a\t1.5\x1c\t2\n", encoding="utf-8")
+    with pytest.raises(MalformedFile, match="emb.tsv:1: bad float"):
+        io.load_embeddings(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_empty_embedding_table_is_empty_without_warning(tmp_path, text):
+    path = tmp_path / "emb.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert io.load_embeddings(path) == {}
 
 
 def test_trials_round_trip(tmp_path):

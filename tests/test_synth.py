@@ -87,6 +87,16 @@ def test_pair_deterministic(rng):
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def test_pair_rejects_tie_vector_of_other_length(rng):
+    model = random_model(rng, 3, 1, (1,))
+    h = HypothesisVector(True, (True, True))
+    message = "^tie vector has length 2, the model has 1 conditions$"
+    with pytest.raises(DimensionMismatch, match=message):
+        sample_trial_pairs(model, h, 3, seed=0)
+    with pytest.raises(DimensionMismatch, match=message):
+        sample_trial_pair(model, h, seed=0)
+
+
 def test_pair_all_untied_uncorrelated(rng):
     model = random_model(rng, 1, 1, (1,), diagonal_noise=True, centered=True)
     h = HypothesisVector(False, (False,))
