@@ -58,8 +58,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
@@ -102,8 +101,10 @@ class ScoringSession:
     level k) in ``w_diff``, every row padded to R_z columns. Numbering
     the rows of ``w_sum`` and then those of ``w_diff`` in one sequence,
     ``node_starts`` holds the first row of every node that has rows.
-    Row i of ``paths`` lists hypothesis i's nodes by their position in
+    Column i of ``paths`` lists hypothesis i's nodes by their position in
     ``node_starts``, padded with -1, which stands for a node of norm 0.
+    The table is C-contiguous, one row per path position, so the path
+    sums add along an axis whose stride does not depend on the block.
     """
 
     model: ModelParams
@@ -138,7 +139,16 @@ class _Tree:
     from row ``start`` of ``w[0]``, and on side 1, only for an untied
     group k, rows of L2^-1 in ``w[1]``. ``nodes`` maps each node built so
     far to its rows and the sum of the log diagonal of its Cholesky
-    block. ``stacks`` are work space, R_z x R_z per side.
+    block. ``stacks`` are work space, R_z x R_z per side, and ``held[side]``
+    lists the nodes whose rows the side's stack holds, in order: path rows
+    are copied there only when a node below them is built, and only from
+    the first level where the path leaves what the stack holds.
+
+    The two K1 children of a node differ only by the diagonal added to
+    their Cholesky block, so they share its Schur products: ``shared``
+    maps the tie bits of a K1 node's parent to its Schur block before the
+    diagonal and the product E P, from the build of the first child until
+    the second one takes them.
     """
 
     gram2: np.ndarray
@@ -147,55 +157,91 @@ class _Tree:
     filled: list
     nodes: dict
     stacks: tuple
+    held: tuple
+    shared: dict
 
 
 def _cholesky_lower(tree: _Tree, hypothesis: HypothesisVector) -> list:
     """Factorize the nodes on one hypothesis' path that ``tree`` lacks, in
     level order, K1 side first; returns the path's nodes.
 
-    The rows of the path's nodes are copied, level by level, into the
-    side's stack, so the rows P of L^-1 for groups 0..k-1 are its first
-    rows. With B the block of the precision between those groups' columns
-    and group k's, C group k's diagonal block and E^T = P B, a new node's
-    Cholesky block is F = chol(C - E E^T) and its rows of L^-1 are
-    [-F^-1 E P, F^-1]. On side 1 the tied groups' columns of P are zero,
-    so they add nothing to E.
+    The rows P of L^-1 for groups 0..k-1 are the first rows of the side's
+    stack once the path's nodes are copied there (lazily, see ``_Tree``).
+    With B the block of the precision between those groups' columns and
+    group k's, C group k's diagonal block and E^T = P B, a new node's
+    Cholesky block is F = chol(C - E E^T + diag) and its rows of L^-1 are
+    [-F^-1 E P, F^-1]. A K1 node's sibling has the same P, B and C, so
+    C - E E^T and E P are computed once for both. On side 1 the tied
+    groups' columns of P are zero, so they add nothing to E.
     """
     flags = (hypothesis.speaker_tied,) + hypothesis.condition_tied
     path = []
     for side in (0, 1):
-        w, stack = tree.w[side], tree.stacks[side]
-        m = 0
+        side_path = []
         for k, g in enumerate(tree.groups):
             if side == 1 and flags[k]:
                 continue
             key = (side, flags[: k + 1])
-            r = g.stop - g.start
             node = tree.nodes.get(key)
             if node is None:
-                p = stack[:m, : g.start]
-                with np.errstate(all="ignore"):
-                    e_t = p @ tree.gram2[: g.start, g]
-                    schur = tree.gram2[g, g] - e_t.T @ e_t
-                schur.flat[:: r + 1] += 1.0 if side == 0 and flags[k] else 2.0
-                try:
-                    chol = sla.cholesky(schur, lower=True)
-                except (sla.LinAlgError, ValueError) as exc:
-                    raise FactorizationFailed(
-                        f"posterior precision for hypothesis {hypothesis} is not positive "
-                        "definite; check the model's noise precision"
-                    ) from exc
-                inv = _lower_inverse(chol)
-                start = tree.filled[side]
-                tree.filled[side] += r
-                w[start : start + r, : g.start] = -inv @ (e_t.T @ p)
-                w[start : start + r, g] = inv
-                log_diag = float(np.sum(np.log(np.diag(chol))))
-                node = tree.nodes[key] = _Node(side, start, r, log_diag)
-            stack[m : m + r] = w[node.start : node.start + r]
-            path.append(node)
-            m += r
+                node = tree.nodes[key] = _build_node(tree, hypothesis, key, g, side_path)
+            side_path.append(node)
+        path += side_path
     return path
+
+
+def _build_node(tree: _Tree, hypothesis, key, g: slice, above: list) -> _Node:
+    """Factorize node ``key`` for group ``g`` below the nodes ``above``."""
+    side, ties = key
+    r = g.stop - g.start
+    products = tree.shared.pop(ties[:-1], None) if side == 0 else None
+    if products is None:
+        p = tree.stacks[side][: _hold(tree, side, above), : g.start]
+        e_t = p @ tree.gram2[: g.start, g]
+        schur = tree.gram2[g, g] - e_t.T @ e_t
+        # dpotrf would pass an infinity, and never reads the upper triangle
+        if not np.isfinite(schur).all():
+            raise _not_positive_definite(hypothesis)
+        ep = e_t.T @ p
+        if side == 0:
+            tree.shared[ties[:-1]] = (schur, ep)
+            schur = schur.copy()
+    else:
+        schur, ep = products
+    schur.reshape(-1)[:: r + 1] += 1.0 if side == 0 and ties[-1] else 2.0
+    chol, info = dpotrf(schur, lower=1, clean=1)
+    if info != 0:
+        raise _not_positive_definite(hypothesis)
+    inv = _lower_inverse(chol)
+    w = tree.w[side]
+    start = tree.filled[side]
+    tree.filled[side] += r
+    np.matmul(-inv, ep, out=w[start : start + r, : g.start])
+    w[start : start + r, g] = inv
+    return _Node(side, start, r, float(np.log(chol.diagonal()).sum()))
+
+
+def _not_positive_definite(hypothesis) -> FactorizationFailed:
+    return FactorizationFailed(
+        f"posterior precision for hypothesis {hypothesis} is not positive "
+        "definite; check the model's noise precision"
+    )
+
+
+def _hold(tree: _Tree, side: int, nodes: list) -> int:
+    """Make the side's stack hold the rows of ``nodes``, in order, copying
+    only those it does not hold yet; returns their row count."""
+    held, stack, w = tree.held[side], tree.stacks[side], tree.w[side]
+    same = 0
+    while same < min(len(held), len(nodes)) and held[same] is nodes[same]:
+        same += 1
+    del held[same:]
+    m = sum(n.size for n in held)
+    for n in nodes[same:]:
+        stack[m : m + n.size] = w[n.start : n.start + n.size]
+        m += n.size
+        held.append(n)
+    return m
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -213,6 +259,11 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
 def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSession:
     """Factorize every hypothesis once, as paths of a shared prefix tree
     built from one Gram matrix W^T D W.
+
+    Each node is factorized once, by the first hypothesis on its path.
+    Sibling K1 nodes share their Schur products, and a path's rows are
+    copied to the work stack only when a node below them is built (see
+    ``_Tree``); neither changes a bit of the session.
 
     Raises:
       DimensionMismatch: the priors do not cover the model's conditions.
@@ -253,21 +304,27 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         filled=[0, 0],
         nodes={},
         stacks=(np.zeros((r_z, r_z)), np.zeros((r_z, r_z))),
+        held=([], []),
+        shared={},
     )
 
     cond_hyps = enumerate_condition_hypotheses(n_cond)
     hyps = [HypothesisVector(spk, c) for spk in (True, False) for c in cond_hyps]
-    node_paths = [_cholesky_lower(tree, h) for h in hyps]
+    # Overflow leaves a non-finite Schur block, which raises FactorizationFailed.
+    with np.errstate(all="ignore"):
+        node_paths = [_cholesky_lower(tree, h) for h in hyps]
     stored = sorted((n.side, n.start) for n in tree.nodes.values() if n.size)
     position = {node: i for i, node in enumerate(stored)}
     node_starts = np.array([start + side * 2 * per_side for side, start in stored], dtype=np.intp)
-    paths = np.full((len(hyps), 2 * (n_cond + 1)), -1, dtype=np.intp)
+    width = 2 * (n_cond + 1)
+    columns = []
     half_log_det_sigma = np.empty(len(hyps))
     for i, path in enumerate(node_paths):
         used = [position[n.side, n.start] for n in path if n.size]
-        paths[i, : len(used)] = used
+        columns.append(used + [-1] * (width - len(used)))
         n_d = sum(n.size for n in path if n.side == 1)
         half_log_det_sigma[i] = n_d * math.log(2.0) - math.fsum(n.log_diag for n in path)
+    paths = np.array(columns, dtype=np.intp).T.copy()
     log_prior = np.array([hypothesis_log_prior(h, priors) for h in hyps])
     w_sum, w_diff = tree.w
     for a in (half_log_det_sigma, log_prior, w_sum, w_diff, node_starts, paths):
@@ -292,7 +349,9 @@ def _q_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
     Every trial gets its own two matrix-vector products, written into
     rows allocated up front; the node norms, the path sums and every
     other reduction run along an axis whose length does not depend on
-    the block. So a trial's Q has the same bits in a block of any size.
+    the block, and the path sums along the rows of ``paths``, never a
+    contiguous axis. So a trial's Q has the same bits in a block of any
+    size.
     Overflow shows up as inf or NaN without a warning.
     """
     n = proj_e.shape[0]
@@ -307,7 +366,7 @@ def _q_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
             np.dot(session.w_diff, delta[i], out=rows[i, n_sum:])
         np.multiply(rows, rows, out=rows)
         norms[:, :-1] = np.add.reduceat(rows, session.node_starts, axis=1)
-        quad = norms[:, session.paths].sum(axis=2)
+        quad = norms[:, session.paths].sum(axis=1)
         q = session.half_log_det_sigma + session.log_prior + 0.5 * quad
     return q.reshape(n, 2, -1)
 
@@ -315,9 +374,11 @@ def _q_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
 def _score_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
     """LLRs of a block of trials: each branch's log-sum-exp over ``_q_block``.
 
-    exp and log see whole contiguous arrays, so a score has the same bits
-    in a block of any size. Overflow shows up as NaN, which the callers
-    turn into NonFinite.
+    exp and log see whole contiguous arrays, and the terms are stored
+    hypothesis-major, so each branch's sum adds them one at a time in
+    hypothesis order (a sum along a contiguous axis would be pairwise for
+    a single trial only). So a score has the same bits in a block of any
+    size. Overflow shows up as NaN, which the callers turn into NonFinite.
 
     Raises AllHypothesesExcluded when a whole branch has prior zero.
     """
@@ -326,9 +387,13 @@ def _score_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
         name = ("same-speaker", "different-speaker")[top_prior.index(-math.inf)]
         raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
     q = _q_block(session, proj_e, proj_t)
+    n, _, n_hyp = q.shape
+    terms = np.empty((n_hyp, n, 2)).transpose(1, 2, 0)
     with np.errstate(all="ignore"):
         top = q.max(axis=2)
-        lse = top + np.log(np.exp(q - top[..., None]).sum(axis=2))
+        np.subtract(q, top[..., None], out=terms)
+        np.exp(terms, out=terms)
+        lse = top + np.log(terms.sum(axis=2))
         return lse[:, 0] - lse[:, 1]
 
 
@@ -401,7 +466,9 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     come from the session, so no Cholesky runs here.
     Trials are scored in blocks whose whitened rows take at most
     ``BLOCK_BYTES``. The output order matches the input order, and every
-    score is bitwise equal to ``llr`` on the pair.
+    score is bitwise equal to ``llr`` on the pair, for any number of
+    conditions: no sum runs in a different order for one trial than for
+    a block (see ``_q_block`` and ``_score_block``).
 
     Args:
       enroll / test: mappings from id to raw embedding vector.

@@ -93,6 +93,20 @@ def test_embeddings_round_trip(rng, tmp_path):
         assert loaded[name].tobytes() == np.asarray(table[name]).tobytes()
 
 
+def test_embeddings_text_matches_per_value_format(rng, tmp_path):
+    path = tmp_path / "emb.tsv"
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    table = {"special": np.array(special), "empty": np.zeros(0)}
+    table.update({f"r{i}": rng.standard_normal(7) * 10.0 ** rng.integers(-300, 300, 7)
+                  for i in range(20)})
+    io.save_embeddings(path, table)
+    expected = "".join(
+        "\t".join([name] + ["{:.17g}".format(x) for x in np.asarray(vec)]) + "\n"
+        for name, vec in table.items()
+    )
+    assert path.read_text(encoding="utf-8") == expected
+
+
 def test_embeddings_reject_duplicates(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("a\t1.0\na\t2.0\n")

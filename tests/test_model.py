@@ -61,6 +61,18 @@ def test_validate_accepts_identity_precision():
     assert dataclasses.replace(model, mu=np.ones(4)).diagonal_noise
 
 
+def test_negative_zero_off_diagonal_is_diagonal_noise():
+    d = np.eye(3)
+    d[2, 0] = d[0, 2] = -0.0
+    assert ModelParams(**{**valid_arrays(), "D": d}).diagonal_noise
+
+
+def test_tiny_off_diagonal_is_not_diagonal_noise():
+    d = np.eye(3)
+    d[1, 2] = 1e-300
+    assert not ModelParams(**{**valid_arrays(), "D": d}).diagonal_noise
+
+
 def test_validate_rejects_row_mismatch():
     # one d in the file header: a row mismatch cannot be written to a file
     assert_rejected(None, DimensionMismatch, U=(np.zeros((2, 1)),))
@@ -68,6 +80,14 @@ def test_validate_rejects_row_mismatch():
 
 def test_validate_rejects_indefinite_precision(tmp_path):
     assert_rejected(tmp_path, NotPositiveDefinite, D=np.diag([1.0, -1.0, 1.0]))
+
+
+def test_validate_rejects_indefinite_precision_symmetric_within_tolerance(tmp_path):
+    # off by 1e-12 between the triangles, inside the 1e-10 tolerance; the
+    # 2x2 block [[1, 2], [2, 1]] has eigenvalue -1
+    d = np.eye(3)
+    d[0, 1], d[1, 0] = 2.0, 2.0 + 1e-12
+    assert_rejected(tmp_path, NotPositiveDefinite, "^D is not positive definite$", D=d)
 
 
 def test_validate_rejects_asymmetric_precision(tmp_path):

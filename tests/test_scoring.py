@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,22 @@ def test_session_rejects_overflowing_model():
     )
     with np.errstate(over="ignore"), pytest.raises(FactorizationFailed):
         precompute_session(huge, PriorConfig.uniform(0))
+
+
+def test_session_rejects_overflow_in_a_condition_group():
+    # U is orthogonal to V, so the speaker level is exact and the level-1
+    # Schur block is +inf on the diagonal and 0 elsewhere: a block that
+    # LAPACK's Cholesky factorizes without reporting an error.
+    huge = ModelParams(
+        mu=np.zeros(2),
+        V=np.array([[1.0], [0.0]]),
+        U=(np.array([[0.0], [1e200]]),),
+        D=np.eye(2),
+    )
+    first = HypothesisVector(True, (True,))
+    message = f"^posterior precision for hypothesis {re.escape(str(first))} is not positive"
+    with np.errstate(over="ignore"), pytest.raises(FactorizationFailed, match=message):
+        precompute_session(huge, PriorConfig.uniform(1))
 
 
 # information vector ------------------------------------------------------
@@ -542,6 +559,22 @@ def test_score_trials_order_does_not_change_bits(rng, monkeypatch, trials_per_bl
     forward = score_trials(session, enroll, test, trials)
     backward = score_trials(session, enroll, test, trials[::-1])[::-1]
     assert forward.tobytes() == backward.tobytes()
+
+
+@pytest.mark.parametrize("trials_per_block", BLOCK_BOUNDS)
+@pytest.mark.parametrize("n_conditions", [3, 4, 6])
+def test_score_trials_bitwise_llr_with_long_paths(rng, monkeypatch, n_conditions, trials_per_block):
+    # From N = 3 on, a path has 8 or more nodes and a branch 8 or more
+    # hypotheses: sums long enough for numpy to add pairwise when they run
+    # along a contiguous axis.
+    model = random_model(rng, 5, 2, (1,) * n_conditions)
+    session = precompute_session(model, random_priors(rng, n_conditions))
+    set_trials_per_block(monkeypatch, session, trials_per_block)
+    table = {f"x{i}": rng.standard_normal(5) for i in range(20)}
+    trials = [(f"x{i}", f"x{j}") for i in range(10) for j in range(10, 20)]
+    batch = score_trials(session, table, table, trials)
+    loop = np.array([llr(session, table[e], table[t]) for e, t in trials])
+    assert np.array_equal(batch, loop)
 
 
 def test_score_trials_unknown_id(rng):
