@@ -41,12 +41,18 @@ untied group, so
 
     Phi^T Sigma Phi = sum over the nodes X of its path of |X v|^2
 
-with v = s for K1 nodes and v = delta for K2 nodes. A trial costs two
-projections of size R_z and two matrix-vector products against the
-stacked node rows, 3 * sum_k 2^k R_k rows of R_z columns in all; the
-squares, the node norms, the path sums and each branch's log-sum-exp
-are vectorized over a block of trials. ``llr`` and ``q_term`` take raw
-vectors, check them like ``score_trials`` does, and apply the same
+with v = s for K1 nodes and v = delta for K2 nodes. Whitening is
+linear, so each id is whitened on its own: its projection p = W^T D m
+and its rows W_all p against all the stacked node rows,
+3 * sum_k 2^k R_k rows of R_z columns, are each one product with a pair
+of columns, two ids at a time. A trial then gathers its two ids' rows,
+adds them on the K1 rows (s) and subtracts them on the K2 rows (delta);
+the squares, the node norms, the path sums and each branch's
+log-sum-exp are vectorized over a block of trials. ``score_trials``
+whitens each id once per block that uses it, and keeps its rows for the
+later blocks that use it again, within a byte bound. ``llr`` and
+``q_term`` take raw vectors, check them like ``score_trials`` does, put
+their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
 ``score_trials``.
 """
@@ -77,11 +83,28 @@ __all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trial
 # Largest whitening rows a session may hold: 24 * R_z * sum_k 2^k R_k bytes.
 MAX_WHITENING_BYTES = 1 << 30
 
-# Bound on the whitened rows of one block of trials in ``score_trials``.
-# On the tree rows of N = 2, 4 and 6 models (510, 1050 and 4080 rows),
-# 256 KiB blocks score as fast as 512 KiB and 1 MiB blocks, and 64 KiB
-# blocks lose 23 % at N = 4 (2-vCPU guest, 1 BLAS thread).
+# Bound on the trial rows of one block of trials in ``score_trials``. On
+# the per-id path, 512 KiB blocks score the N = 4 matrix workload in
+# 188 ms against 212 ms at 256 KiB and 247 ms at 128 KiB (in-process,
+# medians of 7 interleaved runs), but the benchmark's peak RSS grows by
+# 0.6 MB there and by 1.9 MB on the d = 512, N = 6 workload (73.0 ->
+# 74.9 MB), whose 100 trials took 28.1 and 26.8 ms; the N = 2 file
+# workload moves by 6 % or less from 256 KiB to 2 MiB (2-vCPU guest,
+# 1 BLAS thread).
 BLOCK_BYTES = 1 << 18
+
+# Bound on the rows of the matrix in one product of ``_pair_product``. A
+# block stays in the 2 MiB L2 cache while every pair of a stack reads it:
+# on the 5.2 MB rows of the d = 512, N = 6 model, 256 KiB to 1 MiB blocks
+# scored its 100 trials in 32.0-32.6 ms and 2 MiB blocks in 39.3 ms, and
+# one pair took 1.04 times two matrix-vector products at 1 MiB against
+# 1.09 at 512 KiB and 2.2 for the whole matrix at once.
+CHUNK_BYTES = 1 << 20
+
+# Bound on the whitened rows that ``score_trials`` keeps for ids used
+# again in a later block: the 244 ids of the 120 x 120 matrix workload
+# take 2 MB. Rows over the bound are whitened again, with the same bits.
+ROW_CACHE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -96,31 +119,42 @@ class ScoringSession:
     i are ``half_log_det_sigma`` (0.5 log|Sigma|) and ``log_prior``
     (-inf allowed; the session's only copy of the priors).
 
-    The tree's nodes are stored once each: the rows of the K1 nodes
-    (2^(k+1) at level k) in ``w_sum`` and those of the K2 nodes (2^k at
-    level k) in ``w_diff``, every row padded to R_z columns. Numbering
-    the rows of ``w_sum`` and then those of ``w_diff`` in one sequence,
-    ``node_starts`` holds the first row of every node that has rows.
-    Column i of ``paths`` lists hypothesis i's nodes by their position in
-    ``node_starts``, padded with -1, which stands for a node of norm 0.
-    The table is C-contiguous, one row per path position, so the path
-    sums add along an axis whose stride does not depend on the block.
+    The tree's nodes are stored once each, in ``rows``, every row padded
+    to R_z columns: first the rows of the K1 nodes (2^(k+1) at level k),
+    the view ``w_sum``, then those of the K2 nodes (2^k at level k), the
+    view ``w_diff``. ``node_starts`` holds the first row of every node
+    that has rows. Column i of ``paths`` lists hypothesis i's nodes by
+    their position in ``node_starts``, padded with -1, which stands for a
+    node of norm 0. The table is C-contiguous, one row per path position,
+    so the path sums add along an axis whose stride does not depend on
+    the block. ``projection`` is W^T D (R_z x d, C-contiguous): it maps a
+    centered vector m to its projections p = W^T D m.
+
+    Scoring applies ``projection`` and then ``rows`` to two vectors at a
+    time, each as one product with a pair of columns (``_pair_product``):
+    an id's whitened rows W_all p do not depend on the vector it shares
+    the product with, so ``score_trials`` whitens each id once and keeps
+    the rows of ids used again, and ``llr`` gives the same bits.
     """
 
     model: ModelParams
     factorizations: MappingProxyType
     half_log_det_sigma: np.ndarray
     log_prior: np.ndarray
-    dw: np.ndarray
-    w_sum: np.ndarray
-    w_diff: np.ndarray
+    projection: np.ndarray
+    rows: np.ndarray
     node_starts: np.ndarray
     paths: np.ndarray
 
-    def project(self, centered: np.ndarray) -> np.ndarray:
-        """All factor loadings' noise-weighted projections W^T D m of one
-        centered vector, stacked in model order (length R_z)."""
-        return self.dw.T @ centered
+    @property
+    def w_sum(self) -> np.ndarray:
+        """The K1 node rows, applied to s = p_e + p_t (two thirds of ``rows``)."""
+        return self.rows[: self.rows.shape[0] // 3 * 2]
+
+    @property
+    def w_diff(self) -> np.ndarray:
+        """The K2 node rows, applied to delta = p_e - p_t."""
+        return self.rows[self.rows.shape[0] // 3 * 2 :]
 
 
 class _Node(NamedTuple):
@@ -288,8 +322,8 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         )
     w = stack_w(model)
     dw = model.D @ w
-    dw.setflags(write=False)
     gram = w.T @ dw
+    projection = np.ascontiguousarray(dw.T)
     ends = list(itertools.accumulate(sizes))
     # Both sides' rows in one block: freed as one piece, it raises glibc's
     # heap trim threshold above what a session frees, so the heap is kept
@@ -326,52 +360,87 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         half_log_det_sigma[i] = n_d * math.log(2.0) - math.fsum(n.log_diag for n in path)
     paths = np.array(columns, dtype=np.intp).T.copy()
     log_prior = np.array([hypothesis_log_prior(h, priors) for h in hyps])
-    w_sum, w_diff = tree.w
-    for a in (half_log_det_sigma, log_prior, w_sum, w_diff, node_starts, paths):
+    for a in (projection, half_log_det_sigma, log_prior, rows, node_starts, paths):
         a.setflags(write=False)
     return ScoringSession(
         model=model,
         factorizations=MappingProxyType({h: i for i, h in enumerate(hyps)}),
         half_log_det_sigma=half_log_det_sigma,
         log_prior=log_prior,
-        dw=dw,
-        w_sum=w_sum,
-        w_diff=w_diff,
+        projection=projection,
+        rows=rows,
         node_starts=node_starts,
         paths=paths,
     )
 
 
-def _q_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
-    """Every hypothesis' Q for the trials whose projections are the rows
-    of proj_e / proj_t, shape (n, 2, 2^N): [trial, branch, hypothesis].
+def _pair_product(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The stack of products a @ pairs[j] for a stack of column pairs
+    (P x k x 2), in blocks of at most ``CHUNK_BYTES`` of the rows of ``a``.
 
-    Every trial gets its own two matrix-vector products, written into
-    rows allocated up front; the node norms, the path sums and every
-    other reduction run along an axis whose length does not depend on
-    the block, and the path sums along the rows of ``paths``, never a
-    contiguous axis. So a trial's Q has the same bits in a block of any
-    size.
-    Overflow shows up as inf or NaN without a warning.
+    Every projection and every whitening runs through here. numpy's
+    matmul runs one BLAS product of two columns per pair and block, so a
+    block of ``a`` is read from cache by every pair of the stack. On
+    OpenBLAS a column of this product has the same bits in column 0 or 1,
+    whatever the other column holds, while products of 1, 4, 8 or 64
+    columns give other bits (``test_pair_products_give_each_column_its_own_bits``
+    pins it). So an id's rows depend neither on the id it is paired with
+    nor on the stack, and ``llr`` gets the bits of ``score_trials``.
     """
-    n = proj_e.shape[0]
+    if a.nbytes <= CHUNK_BYTES:
+        return np.matmul(a, pairs)
+    out = np.empty((pairs.shape[0], a.shape[0], 2))
+    step = max(1, CHUNK_BYTES // (8 * a.shape[1]))
+    for i in range(0, a.shape[0], step):
+        np.matmul(a[i : i + step], pairs, out=out[:, i : i + step])
+    return out
+
+
+def _project(session: ScoringSession, x: np.ndarray) -> np.ndarray:
+    """Projections p = W^T D (m - mu) of the raw vectors m, the rows of a
+    checked (2P, d) matrix that this centers in place, two at a time:
+    shape (P, R_z, 2), where [j, :, c] is vector 2j + c."""
+    np.subtract(x, session.model.mu, out=x)
+    return _pair_product(session.projection, x.reshape(-1, 2, x.shape[1]).transpose(0, 2, 1))
+
+
+def _whiten(session: ScoringSession, x: np.ndarray) -> np.ndarray:
+    """Whitened rows W p of the raw vectors in ``x``, paired as by
+    ``_project``: shape (P, R, 2), where [j, :, c] is vector 2j + c."""
+    return _pair_product(session.rows, _project(session, x))
+
+
+def _trial_rows(session: ScoringSession, rows_e, rows_t, out) -> np.ndarray:
+    """Trials' whitened rows from their ids' rows (one row per trial):
+    the sum on the ``w_sum`` rows and the difference on the ``w_diff`` rows."""
     n_sum = session.w_sum.shape[0]
-    rows = np.empty((n, n_sum + session.w_diff.shape[0]))
+    np.add(rows_e[:, :n_sum], rows_t[:, :n_sum], out=out[:, :n_sum])
+    np.subtract(rows_e[:, n_sum:], rows_t[:, n_sum:], out=out[:, n_sum:])
+    return out
+
+
+def _q_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
+    """Every hypothesis' Q for the trials whose whitened rows are the rows
+    of ``rows`` (overwritten), shape (n, 2, 2^N): [trial, branch,
+    hypothesis].
+
+    The node norms, the path sums and every other reduction run along an
+    axis whose length does not depend on the block, and the path sums
+    along the rows of ``paths``, never a contiguous axis. So a trial's Q
+    has the same bits in a block of any size. Callers ignore
+    floating-point errors (``np.errstate``): overflow shows up as inf or
+    NaN.
+    """
+    n = rows.shape[0]
+    np.multiply(rows, rows, out=rows)
     norms = np.zeros((n, session.node_starts.size + 1))  # the last column stays 0
-    with np.errstate(all="ignore"):
-        s = proj_e + proj_t
-        delta = proj_e - proj_t
-        for i in range(n):
-            np.dot(session.w_sum, s[i], out=rows[i, :n_sum])
-            np.dot(session.w_diff, delta[i], out=rows[i, n_sum:])
-        np.multiply(rows, rows, out=rows)
-        norms[:, :-1] = np.add.reduceat(rows, session.node_starts, axis=1)
-        quad = norms[:, session.paths].sum(axis=1)
-        q = session.half_log_det_sigma + session.log_prior + 0.5 * quad
+    norms[:, :-1] = np.add.reduceat(rows, session.node_starts, axis=1)
+    quad = norms[:, session.paths].sum(axis=1)
+    q = session.half_log_det_sigma + session.log_prior + 0.5 * quad
     return q.reshape(n, 2, -1)
 
 
-def _score_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
+def _score_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
     """LLRs of a block of trials: each branch's log-sum-exp over ``_q_block``.
 
     exp and log see whole contiguous arrays, and the terms are stored
@@ -386,18 +455,24 @@ def _score_block(session: ScoringSession, proj_e, proj_t) -> np.ndarray:
     if -math.inf in top_prior:
         name = ("same-speaker", "different-speaker")[top_prior.index(-math.inf)]
         raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
-    q = _q_block(session, proj_e, proj_t)
+    q = _q_block(session, rows)
     n, _, n_hyp = q.shape
     terms = np.empty((n_hyp, n, 2)).transpose(1, 2, 0)
-    with np.errstate(all="ignore"):
-        top = q.max(axis=2)
-        np.subtract(q, top[..., None], out=terms)
-        np.exp(terms, out=terms)
-        lse = top + np.log(terms.sum(axis=2))
-        return lse[:, 0] - lse[:, 1]
+    top = q.max(axis=2)
+    np.subtract(q, top[..., None], out=terms)
+    np.exp(terms, out=terms)
+    lse = top + np.log(terms.sum(axis=2))
+    return lse[:, 0] - lse[:, 1]
 
 
-def _project_raw(session: ScoringSession, m, what: str) -> np.ndarray:
+# what ``_checked_ids`` looks up for an id that its table lacks
+_UNKNOWN = object()
+
+
+def _checked_vector(session: ScoringSession, m, what: str) -> np.ndarray:
+    """One raw vector as a float64 array, or the error that names it."""
+    if m is _UNKNOWN:
+        raise UnknownId(f"unknown {what}")
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (session.model.d,):
         raise DimensionMismatch(
@@ -405,15 +480,33 @@ def _project_raw(session: ScoringSession, m, what: str) -> np.ndarray:
         )
     if not np.isfinite(m).all():
         raise NonFinite(f"{what} contains non-finite values")
-    return session.project(m - session.model.mu)
+    return m
 
 
-def _one_trial(session: ScoringSession, m_enroll, m_test) -> tuple:
-    """Projections of one raw trial, each as a block of one row."""
-    return (
-        _project_raw(session, m_enroll, "enroll vector")[None, :],
-        _project_raw(session, m_test, "test vector")[None, :],
-    )
+def _stacked(session: ScoringSession, vectors: list):
+    """The raw vectors as the rows of one finite float64 matrix of width
+    d, or None. Checking them all at once is cheap; callers check them
+    one by one (``_checked_vector``) only after None, to name the first
+    bad one."""
+    try:
+        x = np.array(vectors, dtype=np.float64)
+    except (ValueError, TypeError):
+        return None
+    if x.shape != (len(vectors), session.model.d) or not np.isfinite(x).all():
+        return None
+    return x
+
+
+def _one_trial(session: ScoringSession, m_enroll, m_test) -> np.ndarray:
+    """Whitened rows of one raw trial, as a block of one row."""
+    x = _stacked(session, [m_enroll, m_test])
+    if x is None:
+        x = np.array([
+            _checked_vector(session, m_enroll, "enroll vector"),
+            _checked_vector(session, m_test, "test vector"),
+        ])
+    pair = _whiten(session, x)[0].T
+    return _trial_rows(session, pair[:1], pair[1:], np.empty((1, pair.shape[1])))
 
 
 def llr(session: ScoringSession, m_enroll, m_test) -> float:
@@ -426,7 +519,8 @@ def llr(session: ScoringSession, m_enroll, m_test) -> float:
       NonFinite: an input holds a NaN or an infinity, or the score is NaN
         because the trial's whitened projections overflowed.
     """
-    score = float(_score_block(session, *_one_trial(session, m_enroll, m_test))[0])
+    with np.errstate(all="ignore"):
+        score = float(_score_block(session, _one_trial(session, m_enroll, m_test))[0])
     if math.isnan(score):
         raise NonFinite("the score is NaN: the trial's whitened projections overflowed")
     return score
@@ -453,19 +547,55 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
             f"the model has {session.model.n_conditions} conditions"
         )
     i = session.factorizations[hv]
-    q = float(_q_block(session, *_one_trial(session, m_enroll, m_test)).reshape(-1)[i])
+    with np.errstate(all="ignore"):
+        q = float(_q_block(session, _one_trial(session, m_enroll, m_test)).reshape(-1)[i])
     if math.isnan(q) or q == math.inf:
         raise NonFinite(f"the term of {hv} is {q}: the trial's whitened projections overflowed")
     return q
 
 
+_SIDES = ("enroll", "test")
+
+
+def _checked_ids(session: ScoringSession, tables: tuple, chunk: list, new: tuple) -> np.ndarray:
+    """The raw vectors of the ids ``new`` (enroll ids, test ids) that a
+    block of trials ``chunk`` uses and that are not checked yet, as the
+    rows of one matrix: enroll ids, then test ids, then, for an odd
+    count, the mean, which centers to a zero pad.
+
+    Raises for the first bad id in trial order, the enroll id of a trial
+    before its test id.
+    """
+    vectors = [table.get(i, _UNKNOWN) for table, ids in zip(tables, new) for i in ids]
+    vectors += [session.model.mu] * (len(vectors) % 2)
+    x = _stacked(session, vectors)
+    if x is None:
+        checked = {}
+        for trial in chunk:
+            for key in enumerate(trial):
+                side, i = key
+                if i in new[side] and key not in checked:
+                    name = f"{_SIDES[side]} id {i!r}"
+                    checked[key] = _checked_vector(session, tables[side].get(i, _UNKNOWN), name)
+        x = np.array(
+            [checked[side, i] for side, ids in enumerate(new) for i in ids] + vectors[len(checked):]
+        )
+    return x
+
+
 def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     """Score a list of (enroll_id, test_id) pairs against embedding tables.
 
-    Projections are computed once per referenced id; the whitening rows
-    come from the session, so no Cholesky runs here.
-    Trials are scored in blocks whose whitened rows take at most
-    ``BLOCK_BYTES``. The output order matches the input order, and every
+    Trials are scored in blocks whose trial rows take at most
+    ``BLOCK_BYTES``. The ids of a block that no earlier block left
+    whitened are checked as one matrix, then projected and whitened two
+    at a time by the pair products that ``llr`` uses (``_pair_product``),
+    so no Cholesky runs here and an id's rows have the same bits whatever
+    id shares its product. An id's rows are kept for a later block only
+    if the id is used there, and only while the rows kept take at most
+    ``ROW_CACHE_BYTES``; they are dropped after the block of the id's
+    last use. Rows over the bound are whitened again when needed, which
+    changes no bit. The output order matches the input order, and every
     score is bitwise equal to ``llr`` on the pair, for any number of
     conditions: no sum runs in a different order for one trial than for
     a block (see ``_q_block`` and ``_score_block``).
@@ -474,7 +604,7 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
       enroll / test: mappings from id to raw embedding vector.
       trials: sequence of (enroll_id, test_id) pairs.
 
-    Raises:
+    Raises (for the first bad id in trial order, enroll id first):
       UnknownId: a trial references an id absent from its table.
       DimensionMismatch: a referenced embedding is not a vector of
         length d; the message names the id.
@@ -483,27 +613,59 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
       AllHypothesesExcluded: one branch has zero total prior.
     """
     trials = [(e, t) for e, t in trials]
-    proj_e, proj_t = {}, {}
-    for eid, tid in trials:
-        if eid not in proj_e:
-            if eid not in enroll:
-                raise UnknownId(f"unknown enroll id {eid!r}")
-            proj_e[eid] = _project_raw(session, enroll[eid], f"enroll id {eid!r}")
-        if tid not in proj_t:
-            if tid not in test:
-                raise UnknownId(f"unknown test id {tid!r}")
-            proj_t[tid] = _project_raw(session, test[tid], f"test id {tid!r}")
-
-    out = np.empty(len(trials))
+    n = len(trials)
+    out = np.empty(n)
     if not trials:
         return out
-    row_bytes = 8 * (session.w_sum.shape[0] + session.w_diff.shape[0])
-    block = max(1, BLOCK_BYTES // row_bytes)
-    for a in range(0, len(trials), block):
-        chunk = trials[a : a + block]
-        block_e = np.array([proj_e[e] for e, _ in chunk])
-        block_t = np.array([proj_t[t] for _, t in chunk])
-        out[a : a + len(chunk)] = _score_block(session, block_e, block_t)
+    tables = (enroll, test)
+    ids = tuple(zip(*trials))  # every trial's enroll ids, then its test ids
+    last = tuple(dict(zip(side_ids, range(n))) for side_ids in ids)
+    row_bytes = 8 * session.rows.shape[0]
+    block = max(1, BLOCK_BYTES // max(1, row_bytes))
+    # Rows are kept only for ids used in more than one block, and within
+    # the bound. A block whitens at most 2 * block ids, and the last row
+    # of ``store`` takes the pad of an odd count.
+    reused = 0
+    for side_ids, last_use in zip(ids, last):
+        first_use = dict(zip(side_ids[::-1], range(n - 1, -1, -1)))
+        count = len(last_use)
+        last_block = np.fromiter(last_use.values(), np.intp, count) // block
+        first_block = np.fromiter(map(first_use.__getitem__, last_use), np.intp, count) // block
+        reused += int(np.count_nonzero(first_block != last_block))
+    kept_max = min(reused, ROW_CACHE_BYTES // max(1, row_bytes))
+    size = min(2 * block, len(last[0]) + len(last[1])) + 1 + kept_max
+    store = np.empty((size, session.rows.shape[0]))
+    free = list(range(size - 1))
+    slots = ({}, {})  # per side, each id's row in store
+    with np.errstate(all="ignore"):
+        for a in range(0, n, block):
+            end = min(n, a + block)
+            block_ids = [dict.fromkeys(side_ids[a:end]) for side_ids in ids]
+            new = tuple(
+                dict.fromkeys(i for i in side_ids if i not in slot)
+                for side_ids, slot in zip(block_ids, slots)
+            )
+            n_new = len(new[0]) + len(new[1])
+            if n_new:
+                x = _checked_ids(session, tables, trials[a:end], new)
+                taken = [free.pop() for _ in range(n_new)]
+                slots[0].update(zip(new[0], taken))
+                slots[1].update(zip(new[1], taken[len(new[0]) :]))
+                pairs = np.reshape(taken + [size - 1] * (n_new % 2), (-1, 2))
+                store[pairs] = _whiten(session, x).transpose(0, 2, 1)
+            rows = store[list(map(slots[0].__getitem__, ids[0][a:end]))]
+            other = store[list(map(slots[1].__getitem__, ids[1][a:end]))]
+            out[a:end] = _score_block(session, _trial_rows(session, rows, other, out=rows))
+            for side_ids, slot, last_use in zip(block_ids, slots, last):
+                for i in side_ids:
+                    if last_use[i] < end:
+                        free.append(slot.pop(i))
+            # new ids used again stay only while the kept rows fit the bound
+            over = len(slots[0]) + len(slots[1]) - kept_max
+            if over > 0:
+                kept = [(slot, i) for side_ids, slot in zip(new, slots) for i in side_ids if i in slot]
+                for slot, i in kept[:over]:
+                    free.append(slot.pop(i))
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
         eid, tid = trials[nan[0]]

@@ -55,8 +55,8 @@ def compute_phi(session, h, m_enroll, m_test):
     Both inputs must already be centered (mean subtracted).
     """
     tied, untied = split_columns(session.model, h)
-    proj_e = session.project(np.asarray(m_enroll, dtype=np.float64))
-    proj_t = session.project(np.asarray(m_test, dtype=np.float64))
+    proj_e = session.projection @ np.asarray(m_enroll, dtype=np.float64)
+    proj_t = session.projection @ np.asarray(m_test, dtype=np.float64)
     return np.concatenate(((proj_e + proj_t)[tied], proj_e[untied], proj_t[untied]))
 
 
@@ -76,7 +76,7 @@ def posterior_moments(session, speaker_tied, h, m_enroll, m_test):
     n = phi.size
     if n == 0:
         return PosteriorMoments(z_hat=np.zeros(0), sigma=np.zeros((0, 0)))
-    gram = stack_w(session.model).T @ session.dw
+    gram = stack_w(session.model).T @ session.projection.T
     k = build_k_sum(0.5 * (gram + gram.T), session.model, hv)
     factor = sla.cho_factor(k, lower=True)
     sigma = sla.cho_solve(factor, np.eye(n))
