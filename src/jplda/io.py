@@ -268,16 +268,9 @@ def save_priors(path, priors: PriorConfig) -> None:
     """Write one "condition.<j>.p_same_given_ss|ds = <p>" line per entry."""
     with open(path, "w", encoding="utf-8") as f:
         for j in range(priors.n_conditions):
-            f.write(
-                f"condition.{j + 1}.p_same_given_ss = "
-                + _FLOAT_FMT.format(priors.p_same_given_ss[j])
-                + "\n"
-            )
-            f.write(
-                f"condition.{j + 1}.p_same_given_ds = "
-                + _FLOAT_FMT.format(priors.p_same_given_ds[j])
-                + "\n"
-            )
+            for name in ("p_same_given_ss", "p_same_given_ds"):
+                p = getattr(priors, name)[j]
+                f.write(f"condition.{j + 1}.{name} = " + _FLOAT_FMT.format(p) + "\n")
 
 
 def load_priors(path) -> PriorConfig:

@@ -36,8 +36,12 @@ untied group k only on the tie bits of groups 0..k-1. The hypotheses
 therefore share the nodes of a prefix tree: level k holds 2^(k+1) K1
 nodes and 2^k K2 nodes of R_k rows each (R_0 = R_y, R_k = R_x(k)), and
 each node is built from the rows of its path by one Schur-complement
-step. A hypothesis' path is one K1 node per level and one K2 node per
-untied group, so
+step. ``precompute_session`` factorizes the hypotheses in
+``enumerate_condition_hypotheses`` order, which visits the tree's
+leaves depth first: consecutive paths share the levels above the first
+one whose tie bit differs, so one walk builds each node once. A
+hypothesis' path is one K1 node per level and one K2 node per untied
+group, so
 
     Phi^T Sigma Phi = sum over the nodes X of its path of |X v|^2
 
@@ -159,100 +163,106 @@ class ScoringSession:
 
 class _Node(NamedTuple):
     side: int
-    start: int
+    number: int  # position in ``node_starts``; -1 for a node without rows
     size: int
     log_diag: float
 
 
 @dataclass
 class _Tree:
-    """The prefix tree while ``precompute_session`` fills it.
+    """The prefix tree while ``precompute_session`` walks it depth first.
 
-    Node (side, ties) holds the rows for latent group k = len(ties) - 1
-    under the tie bits ``ties`` of groups 0..k: on side 0 rows of L1^-1,
-    from row ``start`` of ``w[0]``, and on side 1, only for an untied
-    group k, rows of L2^-1 in ``w[1]``. ``nodes`` maps each node built so
-    far to its rows and the sum of the log diagonal of its Cholesky
-    block. ``stacks`` are work space, R_z x R_z per side, and ``held[side]``
-    lists the nodes whose rows the side's stack holds, in order: path rows
-    are copied there only when a node below them is built, and only from
-    the first level where the path leaves what the stack holds.
+    The hypotheses come in ``enumerate_condition_hypotheses`` order,
+    same-speaker branch first: binary counting over the tie bits of
+    groups 0..N, tied counting as 0. So a path shares levels 0..k-1 with
+    the one before it, where k is the first level whose bit differs; that
+    bit flips from tied to untied, and every later bit is tied again.
+    ``ties`` are the bits of the path built last and ``path[side][k]`` its
+    node at level k: on side 0 rows of L1^-1, on side 1 rows of L2^-1, or
+    None for a tied group. Nodes are numbered and take their rows in
+    ``rows`` as they are built, from ``numbered[side]`` and
+    ``filled[side]`` on; ``node_starts[number]`` is a node's first row.
 
-    The two K1 children of a node differ only by the diagonal added to
-    their Cholesky block, so they share its Schur products: ``shared``
-    maps the tie bits of a K1 node's parent to its Schur block before the
-    diagonal and the product E P, from the build of the first child until
-    the second one takes them.
+    ``stacks`` are work space, R_z x R_z per side, that hold the rows of
+    the path above the level being built: a node is copied to its stack
+    when it is built, unless it sits at the last level. The two K1
+    children of a node differ only by the diagonal added to their
+    Cholesky block, so the tied child parks its Schur block before the
+    diagonal and the product E P in ``shared[k]`` for its untied
+    sibling, the next K1 node built at level k.
     """
 
     gram2: np.ndarray
     groups: list
-    w: tuple
+    rows: np.ndarray
     filled: list
-    nodes: dict
+    node_starts: np.ndarray
+    numbered: list
     stacks: tuple
-    held: tuple
-    shared: dict
+    ties: tuple
+    path: tuple
+    shared: list
 
 
 def _cholesky_lower(tree: _Tree, hypothesis: HypothesisVector) -> list:
-    """Factorize the nodes on one hypothesis' path that ``tree`` lacks, in
-    level order, K1 side first; returns the path's nodes.
+    """Factorize the nodes on one hypothesis' path that the path built
+    before it lacks, level by level, K1 side first; returns the path's
+    nodes. Hypotheses must come in the order that ``_Tree`` states.
 
     The rows P of L^-1 for groups 0..k-1 are the first rows of the side's
-    stack once the path's nodes are copied there (lazily, see ``_Tree``).
-    With B the block of the precision between those groups' columns and
-    group k's, C group k's diagonal block and E^T = P B, a new node's
-    Cholesky block is F = chol(C - E E^T + diag) and its rows of L^-1 are
-    [-F^-1 E P, F^-1]. A K1 node's sibling has the same P, B and C, so
-    C - E E^T and E P are computed once for both. On side 1 the tied
-    groups' columns of P are zero, so they add nothing to E.
+    stack. With B the block of the precision between those groups'
+    columns and group k's, C group k's diagonal block and E^T = P B, a new
+    node's Cholesky block is F = chol(C - E E^T + diag) and its rows of
+    L^-1 are [-F^-1 E P, F^-1]. A K1 node's sibling has the same P, B and
+    C, so C - E E^T and E P are computed once for both. On side 1 the
+    tied groups' columns of P are zero, so they add nothing to E.
     """
-    flags = (hypothesis.speaker_tied,) + hypothesis.condition_tied
-    path = []
-    for side in (0, 1):
-        side_path = []
-        for k, g in enumerate(tree.groups):
-            if side == 1 and flags[k]:
+    ties = (hypothesis.speaker_tied,) + hypothesis.condition_tied
+    first = 0
+    while first < len(tree.ties) and ties[first] == tree.ties[first]:
+        first += 1
+    tree.ties = ties
+    last = len(tree.groups) - 1
+    for side, path in enumerate(tree.path):
+        for k in range(first, last + 1):
+            if side == 1 and ties[k]:
+                path[k] = None
                 continue
-            key = (side, flags[: k + 1])
-            node = tree.nodes.get(key)
-            if node is None:
-                node = tree.nodes[key] = _build_node(tree, hypothesis, key, g, side_path)
-            side_path.append(node)
-        path += side_path
-    return path
-
-
-def _build_node(tree: _Tree, hypothesis, key, g: slice, above: list) -> _Node:
-    """Factorize node ``key`` for group ``g`` below the nodes ``above``."""
-    side, ties = key
-    r = g.stop - g.start
-    products = tree.shared.pop(ties[:-1], None) if side == 0 else None
-    if products is None:
-        p = tree.stacks[side][: _hold(tree, side, above), : g.start]
-        e_t = p @ tree.gram2[: g.start, g]
-        schur = tree.gram2[g, g] - e_t.T @ e_t
-        # dpotrf would pass an infinity, and never reads the upper triangle
-        if not np.isfinite(schur).all():
-            raise _not_positive_definite(hypothesis)
-        ep = e_t.T @ p
-        if side == 0:
-            tree.shared[ties[:-1]] = (schur, ep)
-            schur = schur.copy()
-    else:
-        schur, ep = products
-    schur.reshape(-1)[:: r + 1] += 1.0 if side == 0 and ties[-1] else 2.0
-    chol, info = dpotrf(schur, lower=1, clean=1)
-    if info != 0:
-        raise _not_positive_definite(hypothesis)
-    inv = _lower_inverse(chol)
-    w = tree.w[side]
-    start = tree.filled[side]
-    tree.filled[side] += r
-    np.matmul(-inv, ep, out=w[start : start + r, : g.start])
-    w[start : start + r, g] = inv
-    return _Node(side, start, r, float(np.log(chol.diagonal()).sum()))
+            g = tree.groups[k]
+            r = g.stop - g.start
+            m = sum(n.size for n in path[:k] if n is not None)
+            if side == 0 and not ties[k]:  # the sibling of the last tied node at level k
+                (schur, ep), tree.shared[k] = tree.shared[k], None
+            else:
+                p = tree.stacks[side][:m, : g.start]
+                e_t = p @ tree.gram2[: g.start, g]
+                schur = tree.gram2[g, g] - e_t.T @ e_t
+                # dpotrf would pass an infinity, and never reads the upper triangle
+                if not np.isfinite(schur).all():
+                    raise _not_positive_definite(hypothesis)
+                ep = e_t.T @ p
+                if side == 0:
+                    tree.shared[k] = (schur, ep)
+                    schur = schur.copy()
+            schur.reshape(-1)[:: r + 1] += 1.0 if side == 0 and ties[k] else 2.0
+            chol, info = dpotrf(schur, lower=1, clean=1)
+            if info != 0:
+                raise _not_positive_definite(hypothesis)
+            inv = _lower_inverse(chol)
+            start = tree.filled[side]
+            tree.filled[side] += r
+            node_rows = tree.rows[start : start + r]
+            np.matmul(-inv, ep, out=node_rows[:, : g.start])
+            node_rows[:, g] = inv
+            if k < last:
+                tree.stacks[side][m : m + r] = node_rows
+            number = -1
+            if r:
+                number = tree.numbered[side]
+                tree.numbered[side] += 1
+                tree.node_starts[number] = start
+            path[k] = _Node(side, number, r, float(np.log(chol.diagonal()).sum()))
+    return [n for path in tree.path for n in path if n is not None]
 
 
 def _not_positive_definite(hypothesis) -> FactorizationFailed:
@@ -260,22 +270,6 @@ def _not_positive_definite(hypothesis) -> FactorizationFailed:
         f"posterior precision for hypothesis {hypothesis} is not positive "
         "definite; check the model's noise precision"
     )
-
-
-def _hold(tree: _Tree, side: int, nodes: list) -> int:
-    """Make the side's stack hold the rows of ``nodes``, in order, copying
-    only those it does not hold yet; returns their row count."""
-    held, stack, w = tree.held[side], tree.stacks[side], tree.w[side]
-    same = 0
-    while same < min(len(held), len(nodes)) and held[same] is nodes[same]:
-        same += 1
-    del held[same:]
-    m = sum(n.size for n in held)
-    for n in nodes[same:]:
-        stack[m : m + n.size] = w[n.start : n.start + n.size]
-        m += n.size
-        held.append(n)
-    return m
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -294,10 +288,11 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     """Factorize every hypothesis once, as paths of a shared prefix tree
     built from one Gram matrix W^T D W.
 
-    Each node is factorized once, by the first hypothesis on its path.
-    Sibling K1 nodes share their Schur products, and a path's rows are
-    copied to the work stack only when a node below them is built (see
-    ``_Tree``); neither changes a bit of the session.
+    The hypotheses are factorized in ``enumerate_condition_hypotheses``
+    order, same-speaker branch first, which visits the tree's leaves
+    depth first: each node is built once, by the first hypothesis on its
+    path, from the levels that this hypothesis shares with the one before
+    it (see ``_Tree``).
 
     Raises:
       DimensionMismatch: the priors do not cover the model's conditions.
@@ -325,42 +320,41 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     gram = w.T @ dw
     projection = np.ascontiguousarray(dw.T)
     ends = list(itertools.accumulate(sizes))
-    # Both sides' rows in one block: freed as one piece, it raises glibc's
-    # heap trim threshold above what a session frees, so the heap is kept
-    # between sessions. Split in two, the heap is handed back and faulted
-    # in again: 2400 page faults and 8 ms of system time (quartiles 0.1
-    # and 6.9 ms) per `jplda score` on the d=512, N=6 model.
-    rows = np.zeros((3 * per_side, r_z))
+    # K2 nodes with rows; there are twice as many K1 nodes, numbered first
+    n_diff = sum(2**k for k, r in enumerate(sizes) if r)
     tree = _Tree(
         gram2=gram + gram.T,
         groups=[slice(end - r, end) for end, r in zip(ends, sizes)],
-        w=(rows[: 2 * per_side], rows[2 * per_side :]),
-        filled=[0, 0],
-        nodes={},
+        # Both sides' rows in one block: freed as one piece, it raises
+        # glibc's heap trim threshold above what a session frees, so the
+        # heap is kept between sessions. Split in two, the heap is handed
+        # back and faulted in again: 2400 page faults and 8 ms of system
+        # time (quartiles 0.1 and 6.9 ms) per `jplda score` on the d=512,
+        # N=6 model.
+        rows=np.zeros((3 * per_side, r_z)),
+        filled=[0, 2 * per_side],
+        node_starts=np.empty(3 * n_diff, dtype=np.intp),
+        numbered=[0, 2 * n_diff],
         stacks=(np.zeros((r_z, r_z)), np.zeros((r_z, r_z))),
-        held=([], []),
-        shared={},
+        ties=(),
+        path=([None] * len(sizes), [None] * len(sizes)),
+        shared=[None] * len(sizes),
     )
 
     cond_hyps = enumerate_condition_hypotheses(n_cond)
     hyps = [HypothesisVector(spk, c) for spk in (True, False) for c in cond_hyps]
+    paths = np.full((2 * (n_cond + 1), len(hyps)), -1, dtype=np.intp)
+    half_log_det_sigma = np.empty(len(hyps))
     # Overflow leaves a non-finite Schur block, which raises FactorizationFailed.
     with np.errstate(all="ignore"):
-        node_paths = [_cholesky_lower(tree, h) for h in hyps]
-    stored = sorted((n.side, n.start) for n in tree.nodes.values() if n.size)
-    position = {node: i for i, node in enumerate(stored)}
-    node_starts = np.array([start + side * 2 * per_side for side, start in stored], dtype=np.intp)
-    width = 2 * (n_cond + 1)
-    columns = []
-    half_log_det_sigma = np.empty(len(hyps))
-    for i, path in enumerate(node_paths):
-        used = [position[n.side, n.start] for n in path if n.size]
-        columns.append(used + [-1] * (width - len(used)))
-        n_d = sum(n.size for n in path if n.side == 1)
-        half_log_det_sigma[i] = n_d * math.log(2.0) - math.fsum(n.log_diag for n in path)
-    paths = np.array(columns, dtype=np.intp).T.copy()
+        for i, h in enumerate(hyps):
+            path = _cholesky_lower(tree, h)
+            used = [n.number for n in path if n.size]
+            paths[: len(used), i] = used
+            n_d = sum(n.size for n in path if n.side == 1)
+            half_log_det_sigma[i] = n_d * math.log(2.0) - math.fsum(n.log_diag for n in path)
     log_prior = np.array([hypothesis_log_prior(h, priors) for h in hyps])
-    for a in (projection, half_log_det_sigma, log_prior, rows, node_starts, paths):
+    for a in (projection, half_log_det_sigma, log_prior, tree.rows, tree.node_starts, paths):
         a.setflags(write=False)
     return ScoringSession(
         model=model,
@@ -368,8 +362,8 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         half_log_det_sigma=half_log_det_sigma,
         log_prior=log_prior,
         projection=projection,
-        rows=rows,
-        node_starts=node_starts,
+        rows=tree.rows,
+        node_starts=tree.node_starts,
         paths=paths,
     )
 

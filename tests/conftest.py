@@ -31,7 +31,9 @@ def rng():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """List that records the hypothesis of every posterior-precision Cholesky."""
+    """List that records the hypothesis of every ``_cholesky_lower`` call:
+    one per hypothesis, each factorizing the prefix-tree nodes that its
+    path does not share with the path of the hypothesis before it."""
     calls = []
     real = scoring._cholesky_lower
 

@@ -265,6 +265,12 @@ def test_priors_round_trip(tmp_path):
     path = tmp_path / "priors.cfg"
     priors = PriorConfig((0.25, 1.0), (0.7, 0.0))
     io.save_priors(path, priors)
+    assert path.read_text(encoding="utf-8") == (
+        "condition.1.p_same_given_ss = 0.25\n"
+        "condition.1.p_same_given_ds = 0.69999999999999996\n"
+        "condition.2.p_same_given_ss = 1\n"
+        "condition.2.p_same_given_ds = 0\n"
+    )
     assert io.load_priors(path) == priors
 
 

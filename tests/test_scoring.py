@@ -87,19 +87,35 @@ def test_k_sum_no_untied_block(rng):
     np.testing.assert_allclose(k, want, atol=1e-12)
 
 
-def test_session_counts_and_reconstruction(rng, factorizations):
-    # one factorization per hypothesis, and each hypothesis' term is the
-    # log-determinant, prior and quadratic form of its full posterior
-    # precision: at N = 2, N = 0, N = 3 (four tree levels), with a rank-0
-    # speaker subspace (an empty first level) and with R_z > d
+def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
+    # one factorization per hypothesis, in the depth-first order that the
+    # tree build relies on, each tree node factorized once (2^(N+2) - 2 K1
+    # and 2^(N+1) - 1 K2 blocks, empty levels included), and each
+    # hypothesis' term is the log-determinant, prior and quadratic form of
+    # its full posterior precision: at N = 2, N = 0, N = 3 (four tree
+    # levels), with a rank-0 speaker subspace (an empty first level), with
+    # R_z > d and at N = 4
+    blocks = []
+    real_dpotrf = scoring.dpotrf
+
+    def dpotrf(a, **kwargs):
+        blocks.append(a.shape)
+        return real_dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(scoring, "dpotrf", dpotrf)
     for d, r_y, r_x in ((4, 2, (1, 2)), (4, 2, ()), (4, 2, (1, 2, 1)), (4, 0, (1, 2)),
-                        (3, 2, (2, 1))):
+                        (3, 2, (2, 1)), (5, 1, (2, 1, 1, 2))):
+        n = len(r_x)
         model = random_model(rng, d, r_y, r_x)
-        priors = random_priors(rng, len(r_x))
+        priors = random_priors(rng, n)
         factorizations.clear()
+        blocks.clear()
         session = precompute_session(model, priors)
-        assert len(session.factorizations) == 2 ** (len(r_x) + 1)
-        assert len(factorizations) == 2 ** (len(r_x) + 1)
+        assert len(session.factorizations) == 2 ** (n + 1)
+        order = [HypothesisVector(spk, c) for spk in (True, False)
+                 for c in enumerate_condition_hypotheses(n)]
+        assert factorizations == order == list(session.factorizations)
+        assert len(blocks) == 2 ** (n + 2) - 2 + 2 ** (n + 1) - 1
         m_e, m_t = rng.standard_normal((2, d))
         for h in session.factorizations:
             k = build_k_sum(gram(model), model, h)
