@@ -35,12 +35,12 @@ only on the tie bits of groups 0..k, and the rows of L2 and L2^-1 for an
 untied group k only on the tie bits of groups 0..k-1. The hypotheses
 therefore share the nodes of a prefix tree: level k holds 2^(k+1) K1
 nodes and 2^k K2 nodes of R_k rows each (R_0 = R_y, R_k = R_x(k)), and
-each node is built from the rows of its path by one Schur-complement
-step. ``precompute_session`` factorizes the hypotheses in
-``enumerate_condition_hypotheses`` order, which visits the tree's
-leaves depth first: consecutive paths share the levels above the first
-one whose tie bit differs, so one walk builds each node once. A
-hypothesis' path is one K1 node per level and one K2 node per untied
+each node is built from its path by one Schur-complement step.
+``precompute_session`` builds the tree one level at a time: every path
+into a level carries the cross term U = 2G[later groups, path] K_path^-1,
+whose first R_k rows are the products E P that the level's nodes need,
+and one stacked Cholesky factorizes all of the level's K1 and K2 blocks.
+A hypothesis' path is one K1 node per level and one K2 node per untied
 group, so
 
     Phi^T Sigma Phi = sum over the nodes X of its path of |X v|^2
@@ -65,7 +65,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -74,17 +73,13 @@ from .errors import (
     AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
     UnknownId,
 )
-from .hypothesis import (
-    HypothesisVector,
-    PriorConfig,
-    enumerate_condition_hypotheses,
-    hypothesis_log_prior,
-)
+from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
 from .model import ModelParams, stack_w
 
 __all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trials"]
 
-# Largest whitening rows a session may hold: 24 * R_z * sum_k 2^k R_k bytes.
+# Largest whitening rows, 24 * R_z * sum_k 2^k R_k bytes, plus the cross
+# terms of two consecutive tree levels, that a session build may hold.
 MAX_WHITENING_BYTES = 1 << 30
 
 # Bound on the trial rows of one block of trials in ``score_trials``. On
@@ -110,6 +105,10 @@ CHUNK_BYTES = 1 << 20
 # take 2 MB. Rows over the bound are whitened again, with the same bits.
 ROW_CACHE_BYTES = 1 << 24
 
+# The diagonal that a level's blocks add to their Schur blocks, per path:
+# 1 for the tied K1 child, 2 for the untied K1 child and for the K2 child.
+_NODE_DIAGONALS = np.array([[1.0], [2.0], [2.0]])
+
 
 @dataclass(frozen=True)
 class ScoringSession:
@@ -126,8 +125,9 @@ class ScoringSession:
     The tree's nodes are stored once each, in ``rows``, every row padded
     to R_z columns: first the rows of the K1 nodes (2^(k+1) at level k),
     the view ``w_sum``, then those of the K2 nodes (2^k at level k), the
-    view ``w_diff``. ``node_starts`` holds the first row of every node
-    that has rows. Column i of ``paths`` lists hypothesis i's nodes by
+    view ``w_diff``; each side level by level, each level's nodes in the
+    binary order of their paths' tie bits, tied first. ``node_starts``
+    holds the first row of every node that has rows. Column i of ``paths`` lists hypothesis i's nodes by
     their position in ``node_starts``, padded with -1, which stands for a
     node of norm 0. The table is C-contiguous, one row per path position,
     so the path sums add along an axis whose stride does not depend on
@@ -161,146 +161,80 @@ class ScoringSession:
         return self.rows[self.rows.shape[0] // 3 * 2 :]
 
 
-class _Node(NamedTuple):
-    side: int
-    number: int  # position in ``node_starts``; -1 for a node without rows
-    size: int
-    log_diag: float
+def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
+    """Factorize one tree level's Cholesky blocks (n x r x r, overwritten).
 
+    The blocks come per parent path: its two K1 children, tied then
+    untied, then its K2 child. ``first[i]`` is the first hypothesis, in
+    session order, whose path holds block i, so ``first`` never
+    decreases. Returns the inverse factors F^-1 (n x r x r) and the
+    first hypothesis whose path holds a block that is not numerically
+    positive definite, or None.
 
-@dataclass
-class _Tree:
-    """The prefix tree while ``precompute_session`` walks it depth first.
-
-    The hypotheses come in ``enumerate_condition_hypotheses`` order,
-    same-speaker branch first: binary counting over the tie bits of
-    groups 0..N, tied counting as 0. So a path shares levels 0..k-1 with
-    the one before it, where k is the first level whose bit differs; that
-    bit flips from tied to untied, and every later bit is tied again.
-    ``ties`` are the bits of the path built last and ``path[side][k]`` its
-    node at level k: on side 0 rows of L1^-1, on side 1 rows of L2^-1, or
-    None for a tied group. Nodes are numbered and take their rows in
-    ``rows`` as they are built, from ``numbered[side]`` and
-    ``filled[side]`` on; ``node_starts[number]`` is a node's first row.
-
-    ``stacks`` are work space, R_z x R_z per side, that hold the rows of
-    the path above the level being built: a node is copied to its stack
-    when it is built, unless it sits at the last level. The two K1
-    children of a node differ only by the diagonal added to their
-    Cholesky block, so the tied child parks its Schur block before the
-    diagonal and the product E P in ``shared[k]`` for its untied
-    sibling, the next K1 node built at level k.
+    One stacked Cholesky factorizes the level. When it fails, each block
+    is factorized on its own to find the ones that fail; these, like the
+    non-finite ones, are replaced by the identity, so that the build can
+    go on to the levels below. The triangular inverses take one dtrtri
+    each, in place: the stacked ways tried (scipy's batched ``inv``, the
+    lower left block F^-T of the Cholesky of [[S, I], [I, cI]], doubling
+    the diagonal blocks in numpy) were 1.5 to 3 times slower on the
+    benchmark models' levels.
     """
-
-    gram2: np.ndarray
-    groups: list
-    rows: np.ndarray
-    filled: list
-    node_starts: np.ndarray
-    numbered: list
-    stacks: tuple
-    ties: tuple
-    path: tuple
-    shared: list
-
-
-def _cholesky_lower(tree: _Tree, hypothesis: HypothesisVector) -> list:
-    """Factorize the nodes on one hypothesis' path that the path built
-    before it lacks, level by level, K1 side first; returns the path's
-    nodes. Hypotheses must come in the order that ``_Tree`` states.
-
-    The rows P of L^-1 for groups 0..k-1 are the first rows of the side's
-    stack. With B the block of the precision between those groups'
-    columns and group k's, C group k's diagonal block and E^T = P B, a new
-    node's Cholesky block is F = chol(C - E E^T + diag) and its rows of
-    L^-1 are [-F^-1 E P, F^-1]. A K1 node's sibling has the same P, B and
-    C, so C - E E^T and E P are computed once for both. On side 1 the
-    tied groups' columns of P are zero, so they add nothing to E.
-    """
-    ties = (hypothesis.speaker_tied,) + hypothesis.condition_tied
-    first = 0
-    while first < len(tree.ties) and ties[first] == tree.ties[first]:
-        first += 1
-    tree.ties = ties
-    last = len(tree.groups) - 1
-    for side, path in enumerate(tree.path):
-        for k in range(first, last + 1):
-            if side == 1 and ties[k]:
-                path[k] = None
-                continue
-            g = tree.groups[k]
-            r = g.stop - g.start
-            m = sum(n.size for n in path[:k] if n is not None)
-            if side == 0 and not ties[k]:  # the sibling of the last tied node at level k
-                (schur, ep), tree.shared[k] = tree.shared[k], None
-            else:
-                p = tree.stacks[side][:m, : g.start]
-                e_t = p @ tree.gram2[: g.start, g]
-                schur = tree.gram2[g, g] - e_t.T @ e_t
-                # dpotrf would pass an infinity, and never reads the upper triangle
-                if not np.isfinite(schur).all():
-                    raise _not_positive_definite(hypothesis)
-                ep = e_t.T @ p
-                if side == 0:
-                    tree.shared[k] = (schur, ep)
-                    schur = schur.copy()
-            schur.reshape(-1)[:: r + 1] += 1.0 if side == 0 and ties[k] else 2.0
-            chol, info = dpotrf(schur, lower=1, clean=1)
-            if info != 0:
-                raise _not_positive_definite(hypothesis)
-            inv = _lower_inverse(chol)
-            start = tree.filled[side]
-            tree.filled[side] += r
-            node_rows = tree.rows[start : start + r]
-            np.matmul(-inv, ep, out=node_rows[:, : g.start])
-            node_rows[:, g] = inv
-            if k < last:
-                tree.stacks[side][m : m + r] = node_rows
-            number = -1
-            if r:
-                number = tree.numbered[side]
-                tree.numbered[side] += 1
-                tree.node_starts[number] = start
-            path[k] = _Node(side, number, r, float(np.log(chol.diagonal()).sum()))
-    return [n for path in tree.path for n in path if n is not None]
-
-
-def _not_positive_definite(hypothesis) -> FactorizationFailed:
-    return FactorizationFailed(
-        f"posterior precision for hypothesis {hypothesis} is not positive "
-        "definite; check the model's noise precision"
-    )
-
-
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    n, r, _ = blocks.shape
+    failed = np.zeros(n, dtype=bool)
+    # dpotrf would pass an infinity; a finite sum has finite terms
+    if not math.isfinite(blocks.sum()):
+        failed = ~np.isfinite(blocks).all(axis=(1, 2))
+        blocks[failed] = np.eye(r)
+    try:
+        factors = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(blocks)
+        for i, block in enumerate(blocks):
+            factors[i], info = dpotrf(block, lower=1, clean=1)
+            failed[i] |= info != 0
+        factors[failed] = np.eye(r)
     # K >= I, so every Schur complement of K is >= I too and bounds
     # |F^-1|_2 by 1: applying the explicit inverse is as stable as a
-    # triangular solve.
-    if chol.shape[0] == 0:
-        return chol
-    inv, info = dtrtri(chol, lower=1)
-    if info != 0:
-        raise FactorizationFailed(f"triangular inverse failed (LAPACK info {info})")
-    return inv
+    # triangular solve. F^T, read in Fortran order, is F's memory.
+    for factor in factors if r else ():
+        dtrtri(factor.T, lower=0, overwrite_c=1)
+    failing = next((h for h, bad in zip(first, failed) if bad), None)
+    return factors, failing
 
 
 def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSession:
     """Factorize every hypothesis once, as paths of a shared prefix tree
-    built from one Gram matrix W^T D W.
+    built from one Gram matrix, one level at a time.
 
-    The hypotheses are factorized in ``enumerate_condition_hypotheses``
-    order, same-speaker branch first, which visits the tree's leaves
-    depth first: each node is built once, by the first hypothesis on its
-    path, from the levels that this hypothesis shares with the one before
-    it (see ``_Tree``).
+    The paths into level k are the 2^k prefixes of tie bits of groups
+    0..k-1 on each side. Each carries its cross term U = 2G[later
+    groups, path] K_path^-1, where K_path is the path's leading block of
+    K1 or K2 and the path's rows P give P^T P = K_path^-1. With
+    B = 2G[path, k] and C = 2G[k, k], a node of group k has
+    E P = B^T K_path^-1, the first R_k rows of U, and Schur block
+    C - (E P) B; its rows are X = F^-1 [-E P, I], where F F^T is the
+    Schur block plus the node's diagonal. Both K1 children of a path
+    share E P and the Schur block. A child path's K^-1 gains X^T X, so
+    its cross term is U[R_k:] + (2G[later, :end_k] X^T) X. On the K2
+    side a tied group adds neither a node nor a term. A path keeps
+    [-U | I] over all R_z columns, I on the later groups' own columns:
+    its first R_k rows [-E P | I | 0] give a node's padded rows by one
+    product. Each level's K1 and K2 blocks are factorized by one stacked
+    call (``_factorize_level``); the log priors are summed level by
+    level, in the order of ``hypothesis_log_prior``.
 
     Raises:
       DimensionMismatch: the priors do not cover the model's conditions.
       SessionTooLarge: the tree's whitening rows, 24 * R_z * sum_k 2^k R_k
-        bytes, would exceed ``MAX_WHITENING_BYTES``; checked before
-        anything is allocated or factorized.
+        bytes, and the cross terms of two consecutive levels,
+        2^(k+1) (R_z - start_k) R_z floats at level k, would together
+        exceed ``MAX_WHITENING_BYTES``; checked before anything is
+        allocated or factorized.
       FactorizationFailed: some posterior precision was not numerically
-        SPD (overflowing or otherwise broken model parameters).
+        SPD (overflowing or otherwise broken model parameters). The
+        message names the first hypothesis, in session order, whose path
+        holds a node that fails.
     """
     if priors.n_conditions != model.n_conditions:
         raise DimensionMismatch(
@@ -308,53 +242,115 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         )
     n_cond, r_z = model.n_conditions, model.r_z
     sizes = (model.r_y,) + model.r_x
+    starts = (0, *itertools.accumulate(sizes))
     per_side = sum(2**k * r for k, r in enumerate(sizes))
-    size = 24 * r_z * per_side
+    cross = [2 ** (k + 1) * (r_z - s) * r_z for k, s in enumerate(starts[:-1])] + [0]
+    size = 24 * r_z * per_side + 8 * max(a + b for a, b in zip(cross, cross[1:]))
     if size > MAX_WHITENING_BYTES:
         raise SessionTooLarge(
-            f"N={n_cond} conditions and R_z={r_z} latents need {size} bytes of "
-            f"whitening rows, above the limit of {MAX_WHITENING_BYTES} bytes"
+            f"N={n_cond} conditions and R_z={r_z} latents need {size} bytes of whitening "
+            f"rows and work space, above the limit of {MAX_WHITENING_BYTES} bytes"
         )
     w = stack_w(model)
     dw = model.D @ w
     gram = w.T @ dw
+    gram2 = gram + gram.T
     projection = np.ascontiguousarray(dw.T)
-    ends = list(itertools.accumulate(sizes))
-    # K2 nodes with rows; there are twice as many K1 nodes, numbered first
-    n_diff = sum(2**k for k, r in enumerate(sizes) if r)
-    tree = _Tree(
-        gram2=gram + gram.T,
-        groups=[slice(end - r, end) for end, r in zip(ends, sizes)],
-        # Both sides' rows in one block: freed as one piece, it raises
-        # glibc's heap trim threshold above what a session frees, so the
-        # heap is kept between sessions. Split in two, the heap is handed
-        # back and faulted in again: 2400 page faults and 8 ms of system
-        # time (quartiles 0.1 and 6.9 ms) per `jplda score` on the d=512,
-        # N=6 model.
-        rows=np.zeros((3 * per_side, r_z)),
-        filled=[0, 2 * per_side],
-        node_starts=np.empty(3 * n_diff, dtype=np.intp),
-        numbered=[0, 2 * n_diff],
-        stacks=(np.zeros((r_z, r_z)), np.zeros((r_z, r_z))),
-        ties=(),
-        path=([None] * len(sizes), [None] * len(sizes)),
-        shared=[None] * len(sizes),
-    )
-
+    del w, dw, gram
     cond_hyps = enumerate_condition_hypotheses(n_cond)
     hyps = [HypothesisVector(spk, c) for spk in (True, False) for c in cond_hyps]
-    paths = np.full((2 * (n_cond + 1), len(hyps)), -1, dtype=np.intp)
-    half_log_det_sigma = np.empty(len(hyps))
+    # per condition, [speaker branch, 0, tie bit]: log p or log(1 - p), as
+    # ``hypothesis_log_prior`` adds them
+    log_factors = [
+        [[[math.log(f) if f else -math.inf for f in (p, 1.0 - p)]] for p in pair]
+        for pair in zip(priors.p_same_given_ss, priors.p_same_given_ds)
+    ]
+
+    # Both sides' rows in one block: freed as one piece, it raises
+    # glibc's heap trim threshold above what a session frees, so the
+    # heap is kept between sessions. Split in two, the heap is handed
+    # back and faulted in again: 2400 page faults and 8 ms of system
+    # time (quartiles 0.1 and 6.9 ms) per `jplda score` on the d=512,
+    # N=6 model.
+    rows = np.zeros((3 * per_side, r_z))
+    filled = [0, 2 * per_side]
+    terms = [np.eye(r_z)[None]] * 2  # per side, [path]: [-U | I]
+    log_prior = np.zeros(2)  # the speaker's tie bit adds nothing
+    failures = []
     # Overflow leaves a non-finite Schur block, which raises FactorizationFailed.
     with np.errstate(all="ignore"):
-        for i, h in enumerate(hyps):
-            path = _cholesky_lower(tree, h)
-            used = [n.number for n in path if n.size]
-            paths[: len(used), i] = used
-            n_d = sum(n.size for n in path if n.side == 1)
-            half_log_det_sigma[i] = n_d * math.log(2.0) - math.fsum(n.log_diag for n in path)
-    log_prior = np.array([hypothesis_log_prior(h, priors) for h in hyps])
-    for a in (projection, half_log_det_sigma, log_prior, tree.rows, tree.node_starts, paths):
+        for k, r in enumerate(sizes):
+            s, e = starts[k], starts[k + 1]
+            n = 2**k
+            # per path: its K1 children, tied then untied, then its K2 child
+            blocks = np.empty((n, 3, r, r))
+            np.matmul(terms[0][:, None, :r, :s], gram2[:s, s:e], out=blocks[:, :2])
+            np.matmul(terms[1][:, :r, :s], gram2[:s, s:e], out=blocks[:, 2])
+            blocks += gram2[s:e, s:e]
+            blocks.reshape(n, 3, r * r)[..., :: r + 1] += _NODE_DIAGONALS
+            first = [hyps[(2 * p + (j > 0)) << (n_cond - k)] for p in range(n) for j in range(3)]
+            inv, failing = _factorize_level(blocks.reshape(3 * n, r, r), first)
+            if failing is not None:
+                failures.append(failing)
+            inv = inv.reshape(n, 3, r, r)
+            if k:
+                log_prior = (log_prior.reshape(2, -1, 1) + log_factors[k - 1]).reshape(-1)
+
+            k1 = rows[filled[0] : filled[0] + 2 * n * r].reshape(n, 2, r, r_z)
+            k2 = rows[filled[1] : filled[1] + n * r].reshape(n, 1, r, r_z)
+            np.matmul(inv[:, :2], terms[0][:, None, :r], out=k1)
+            np.matmul(inv[:, 2:], terms[1][:, None, :r], out=k2)
+            del blocks, inv
+            # Each side's child paths, [path, tie bit]: the parent's terms
+            # below its first R_k rows, less the cross term of the child's
+            # node. A side's parents are dropped before the next side's
+            # children are made; below the last level the terms are empty.
+            for side, nodes in enumerate((k1, k2)):
+                base = terms[side][:, None, r:].copy()
+                terms[side] = None
+                child = np.empty((n, 2, r_z - e, r_z))
+                tied = 2 - nodes.shape[1]  # a tied group adds no K2 node
+                child[:, :tied] = base
+                np.matmul((nodes @ gram2[:, e:]).swapaxes(-1, -2), nodes, out=child[:, tied:])
+                np.subtract(base, child[:, tied:], out=child[:, tied:])
+                terms[side] = child.reshape(2 * n, r_z - e, r_z)
+                del base, child
+            filled[0] += 2 * n * r
+            filled[1] += n * r
+    if failures:
+        first = min(failures, key={h: i for i, h in enumerate(hyps)}.__getitem__)
+        raise FactorizationFailed(
+            f"posterior precision for hypothesis {first} is not positive "
+            "definite; check the model's noise precision"
+        )
+
+    # Nodes are numbered level by level, K1 nodes first, and only those
+    # with rows. Column i of ``paths``: hypothesis i's K1 node at each
+    # such level, then its K2 node at each such level that it unties.
+    levels = np.flatnonzero(sizes)
+    level_sizes = np.array(sizes)[levels]
+    count = 2**levels  # K2 nodes per level; twice as many K1 nodes
+    before = np.cumsum(count) - count
+    index = np.arange(len(hyps))
+    prefix = index >> (n_cond - levels)[:, None]
+    paths = np.full((2 * (n_cond + 1), len(hyps)), -1, dtype=np.intp)
+    paths[: levels.size] = 2 * before[:, None] + prefix
+    untied = (prefix & 1).astype(bool)
+    level, hyp = np.nonzero(untied)
+    position = levels.size + np.cumsum(untied, axis=0) - 1
+    paths[position[level, hyp], hyp] = 2 * count.sum() + before[level] + (prefix[level, hyp] >> 1)
+    repeat = np.concatenate([2 * count, count])
+    node_sizes = np.repeat(np.concatenate([level_sizes, level_sizes]), repeat)
+    node_starts = np.cumsum(node_sizes) - node_sizes
+    # A node's diagonal entries of F^-1, 1 / diag F, sit in its own
+    # group's columns: row j of a node of group k in column start_k + j.
+    shift = np.repeat(node_starts - np.repeat(np.tile(np.array(starts)[levels], 2), repeat), node_sizes)
+    diagonal = rows[np.arange(rows.shape[0]), np.arange(rows.shape[0]) - shift]
+    log_det = np.zeros(node_starts.size + 1)  # -1 in ``paths`` reads the last 0
+    log_det[:-1] = np.add.reduceat(np.log(diagonal), node_starts)
+    n_d = (level_sizes[:, None] * untied).sum(axis=0)
+    half_log_det_sigma = n_d * math.log(2.0) + log_det[paths].sum(axis=0)
+    for a in (projection, half_log_det_sigma, log_prior, rows, node_starts, paths):
         a.setflags(write=False)
     return ScoringSession(
         model=model,
@@ -362,8 +358,8 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         half_log_det_sigma=half_log_det_sigma,
         log_prior=log_prior,
         projection=projection,
-        rows=tree.rows,
-        node_starts=tree.node_starts,
+        rows=rows,
+        node_starts=node_starts,
         paths=paths,
     )
 

@@ -31,15 +31,19 @@ def rng():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """List that records the hypothesis of every ``_cholesky_lower`` call:
-    one per hypothesis, each factorizing the prefix-tree nodes that its
-    path does not share with the path of the hypothesis before it."""
+    """List that records the hypothesis of every K1 leaf block that
+    ``precompute_session`` factorizes: one per hypothesis, in session
+    order. ``_factorize_level`` gets each level's blocks with the first
+    hypothesis whose path holds each block; on the last level, 2^N
+    parents of three blocks each, those of the K1 blocks (the first two
+    of each parent) are the leaves' own hypotheses."""
     calls = []
-    real = scoring._cholesky_lower
+    real = scoring._factorize_level
 
-    def spy(k, hypothesis):
-        calls.append(hypothesis)
-        return real(k, hypothesis)
+    def spy(blocks, first):
+        if len(first) == 3 * 2 ** len(first[0].condition_tied):
+            calls.extend(h for i, h in enumerate(first) if i % 3 < 2)
+        return real(blocks, first)
 
-    monkeypatch.setattr(scoring, "_cholesky_lower", spy)
+    monkeypatch.setattr(scoring, "_factorize_level", spy)
     return calls

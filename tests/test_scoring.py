@@ -88,34 +88,36 @@ def test_k_sum_no_untied_block(rng):
 
 
 def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
-    # one factorization per hypothesis, in the depth-first order that the
-    # tree build relies on, each tree node factorized once (2^(N+2) - 2 K1
-    # and 2^(N+1) - 1 K2 blocks, empty levels included), and each
-    # hypothesis' term is the log-determinant, prior and quadratic form of
-    # its full posterior precision: at N = 2, N = 0, N = 3 (four tree
-    # levels), with a rank-0 speaker subspace (an empty first level), with
-    # R_z > d and at N = 4
-    blocks = []
-    real_dpotrf = scoring.dpotrf
+    # one K1 leaf block per hypothesis, in session order; the levels built
+    # in order, each in one call that factorizes every node of the level
+    # once (2^(k+1) K1 and 2^k K2 blocks of R_k rows, empty levels
+    # included, 2^(N+2) - 2 + 2^(N+1) - 1 in all); and each hypothesis'
+    # term is the log-determinant, prior and quadratic form of its full
+    # posterior precision: at N = 2, N = 0, N = 3 (four tree levels), with
+    # a rank-0 speaker subspace (an empty first level), with R_z > d and
+    # at N = 4
+    levels = []
+    real_factorize = scoring._factorize_level
 
-    def dpotrf(a, **kwargs):
-        blocks.append(a.shape)
-        return real_dpotrf(a, **kwargs)
+    def factorize(blocks, first):
+        levels.append(blocks.shape)
+        return real_factorize(blocks, first)
 
-    monkeypatch.setattr(scoring, "dpotrf", dpotrf)
+    monkeypatch.setattr(scoring, "_factorize_level", factorize)
     for d, r_y, r_x in ((4, 2, (1, 2)), (4, 2, ()), (4, 2, (1, 2, 1)), (4, 0, (1, 2)),
                         (3, 2, (2, 1)), (5, 1, (2, 1, 1, 2))):
         n = len(r_x)
         model = random_model(rng, d, r_y, r_x)
         priors = random_priors(rng, n)
         factorizations.clear()
-        blocks.clear()
+        levels.clear()
         session = precompute_session(model, priors)
         assert len(session.factorizations) == 2 ** (n + 1)
         order = [HypothesisVector(spk, c) for spk in (True, False)
                  for c in enumerate_condition_hypotheses(n)]
         assert factorizations == order == list(session.factorizations)
-        assert len(blocks) == 2 ** (n + 2) - 2 + 2 ** (n + 1) - 1
+        assert levels == [(3 * 2**k, r, r) for k, r in enumerate((r_y,) + r_x)]
+        assert sum(count for count, _, _ in levels) == 2 ** (n + 2) - 2 + 2 ** (n + 1) - 1
         m_e, m_t = rng.standard_normal((2, d))
         for h in session.factorizations:
             k = build_k_sum(gram(model), model, h)
@@ -129,9 +131,13 @@ def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
 
 
 def test_session_size_guard_runs_before_factorizing(rng, factorizations, monkeypatch):
+    # the guard counts the whitening rows and the cross terms that the
+    # build holds for two consecutive levels: 2^(k+1) paths into level k,
+    # each with (R_z - start_k) x R_z terms, at starts 0, 2 and 3
     model = random_model(rng, 4, 2, (1, 2))
     session = precompute_session(model, PriorConfig.uniform(2))
-    nbytes = session.w_sum.nbytes + session.w_diff.nbytes
+    cross = [2 * 5 * 5, 4 * 3 * 5, 8 * 2 * 5]
+    nbytes = session.w_sum.nbytes + session.w_diff.nbytes + 8 * (cross[1] + cross[2])
     monkeypatch.setattr(scoring, "MAX_WHITENING_BYTES", nbytes)
     precompute_session(model, PriorConfig.uniform(2))
     factorizations.clear()
@@ -178,6 +184,44 @@ def test_session_rejects_overflow_in_a_condition_group():
     message = f"^posterior precision for hypothesis {re.escape(str(first))} is not positive"
     with np.errstate(over="ignore"), pytest.raises(FactorizationFailed, match=message):
         precompute_session(huge, PriorConfig.uniform(1))
+
+
+@pytest.mark.parametrize("deep", [True, False])
+def test_session_names_the_first_hypothesis_whose_path_fails(rng, monkeypatch, deep):
+    # A level-by-level build meets the level-1 failure in a later subtree
+    # (the untied K1 child under a tied speaker, first on the path of
+    # hypothesis 2) before the level-2 failure on hypothesis 0's path.
+    # The message names the first hypothesis, in session order, whose
+    # path holds a failing node, as a walk over the hypotheses would.
+    model = random_model(rng, 4, 1, (1, 1))
+    real = scoring._factorize_level
+
+    def faulty(blocks, first):
+        if len(blocks) == 6:
+            blocks[1] = -np.eye(1)  # not positive definite
+        if len(blocks) == 12 and deep:
+            blocks[0] = np.inf
+        return real(blocks, first)
+
+    monkeypatch.setattr(scoring, "_factorize_level", faulty)
+    named = HypothesisVector(True, (True, True) if deep else (False, True))
+    message = f"^posterior precision for hypothesis {re.escape(str(named))} is not positive"
+    with pytest.raises(FactorizationFailed, match=message):
+        precompute_session(model, PriorConfig.uniform(2))
+
+
+@pytest.mark.parametrize("n_conditions", range(7))
+def test_session_log_prior_is_hypothesis_log_prior_bitwise(n_conditions):
+    # summed level by level, in the order that hypothesis_log_prior adds
+    rng = np.random.default_rng(n_conditions)
+    model = random_model(rng, 3, 1, (1,) * n_conditions)
+    p = rng.uniform(size=(2, n_conditions))
+    p[0, ::3] = 0.0
+    p[1, ::2] = 1.0
+    priors = PriorConfig(tuple(p[0]), tuple(p[1]))
+    session = precompute_session(model, priors)
+    want = [hypothesis_log_prior(h, priors) for h in session.factorizations]
+    assert session.log_prior.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 # information vector ------------------------------------------------------
