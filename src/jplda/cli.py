@@ -1,10 +1,7 @@
 """Command-line pipeline: score, synth, eval, check.
 
-Exit codes: 0 on success, 1 on any usage or input problem (the message
-goes to stderr), 2 when one likelihood-ratio branch has zero total
-prior (AllHypothesesExcluded). A valid PriorConfig gives each branch
-total prior 1, so only a session whose ``log_prior`` was replaced can
-reach exit code 2.
+Exit codes 0 and 1: 0 on success, 1 on any usage or input problem (the
+message goes to stderr).
 """
 
 import argparse
@@ -14,14 +11,14 @@ import sys
 import numpy as np
 
 from . import io, metrics, oracle, scoring, synth
-from .errors import AllHypothesesExcluded, JpldaError
+from .errors import JpldaError
 from .hypothesis import HypothesisVector, PriorConfig
 
 __all__ = ["main", "entrypoint"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors (2 is reserved)."""
+    """argparse that exits 1 on usage errors, where argparse exits 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -154,9 +151,6 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except AllHypothesesExcluded as exc:
-        print(f"jplda {args.command}: {exc}", file=sys.stderr)
-        return 2
     except (JpldaError, OSError, ValueError) as exc:
         print(f"jplda {args.command}: {exc}", file=sys.stderr)
         return 1

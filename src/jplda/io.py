@@ -247,20 +247,22 @@ def load_trials(path) -> list:
     """Read trial rows as (enroll_id, test_id, label-or-None) tuples.
 
     The third column, when present, must be "target" or "nontarget" and
-    maps to True / False.
+    maps to True / False. Neither id may be empty.
     """
     out = []
     for lineno, fields in _tsv_rows(path):
-        if len(fields) == 2:
-            out.append((fields[0], fields[1], None))
-        elif len(fields) == 3:
+        if len(fields) not in (2, 3):
+            raise MalformedFile(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+        if not (fields[0] and fields[1]):
+            raise MalformedFile(f"{path}:{lineno}: empty id")
+        label = None
+        if len(fields) == 3:
             if fields[2] not in ("target", "nontarget"):
                 raise MalformedFile(
                     f"{path}:{lineno}: label must be target or nontarget, got {fields[2]!r}"
                 )
-            out.append((fields[0], fields[1], fields[2] == "target"))
-        else:
-            raise MalformedFile(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+            label = fields[2] == "target"
+        out.append((fields[0], fields[1], label))
     return out
 
 
@@ -326,11 +328,14 @@ def save_scores(path, trials, scores) -> None:
 
 
 def load_scores(path) -> list:
-    """Read score rows as (enroll_id, test_id, score) tuples."""
+    """Read score rows as (enroll_id, test_id, score) tuples; neither id
+    may be empty."""
     out = []
     for lineno, fields in _tsv_rows(path):
         if len(fields) != 3:
             raise MalformedFile(f"{path}:{lineno}: expected 3 tab-separated fields")
+        if not (fields[0] and fields[1]):
+            raise MalformedFile(f"{path}:{lineno}: empty id")
         try:
             out.append((fields[0], fields[1], float(fields[2])))
         except ValueError as exc:

@@ -58,16 +58,17 @@ later blocks that use it again, within a byte bound. ``llr`` and
 ``q_term`` take raw vectors, check them like ``score_trials`` does, put
 their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
-``score_trials``.
+``score_trials``. A session checks itself once, when it is built: its
+arrays are read-only and each branch has a hypothesis of nonzero prior,
+so scoring checks neither.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
@@ -116,33 +117,40 @@ class ScoringSession:
     hypothesis factorizations.
 
     Build once with :func:`precompute_session`, then score any number of
-    trials; all members are read-only. ``factorizations`` maps each
-    ``HypothesisVector`` to its position i: same-speaker branch first,
-    each branch in ``enumerate_condition_hypotheses`` order. Indexed by
-    i are ``half_log_det_sigma`` (0.5 log|Sigma|) and ``log_prior``
-    (-inf allowed; the session's only copy of the priors).
+    trials. ``factorizations`` lists the ``HypothesisVector`` of each
+    position i: same-speaker branch first, each branch in
+    ``enumerate_condition_hypotheses`` order. Indexed by i are
+    ``half_log_det_sigma`` (0.5 log|Sigma|) and ``log_prior`` (-inf
+    allowed; the session's only copy of the priors).
 
     The tree's nodes are stored once each, in ``rows``, every row padded
-    to R_z columns: first the rows of the K1 nodes (2^(k+1) at level k),
-    the view ``w_sum``, then those of the K2 nodes (2^k at level k), the
-    view ``w_diff``; each side level by level, each level's nodes in the
-    binary order of their paths' tie bits, tied first. ``node_starts``
-    holds the first row of every node that has rows. Column i of ``paths`` lists hypothesis i's nodes by
-    their position in ``node_starts``, padded with -1, which stands for a
-    node of norm 0. The table is C-contiguous, one row per path position,
-    so the path sums add along an axis whose stride does not depend on
-    the block. ``projection`` is W^T D (R_z x d, C-contiguous): it maps a
-    centered vector m to its projections p = W^T D m.
+    to R_z columns: first the rows of the K1 nodes (2^(k+1) at level k,
+    two thirds of the rows, applied to s = p_e + p_t), then those of the
+    K2 nodes (2^k at level k, applied to delta = p_e - p_t); each side
+    level by level, each level's nodes in the binary order of their
+    paths' tie bits, tied first. ``node_starts`` holds the first row of
+    every node that has rows. ``paths`` has 2L rows for the L levels that
+    have rows: row k of column i is hypothesis i's K1 node at the k-th of
+    them, by its position in ``node_starts``, and row L + k its K2 node
+    there, or -1 where it ties that group; -1 stands for a node of norm
+    0. The table is C-contiguous, so the path sums add along
+    an axis whose stride does not depend on the block. ``projection`` is
+    W^T D (R_z x d, C-contiguous): it maps a centered vector m to its
+    projections p = W^T D m.
 
     Scoring applies ``projection`` and then ``rows`` to two vectors at a
     time, each as one product with a pair of columns (``_pair_product``):
     an id's whitened rows W_all p do not depend on the vector it shares
     the product with, so ``score_trials`` whitens each id once and keeps
     the rows of ids used again, and ``llr`` gives the same bits.
+
+    A session is checked once, when it is built, also by
+    ``dataclasses.replace``: its arrays become read-only, and a branch
+    whose hypotheses all have prior 0 raises ``AllHypothesesExcluded``.
     """
 
     model: ModelParams
-    factorizations: MappingProxyType
+    factorizations: tuple
     half_log_det_sigma: np.ndarray
     log_prior: np.ndarray
     projection: np.ndarray
@@ -150,15 +158,14 @@ class ScoringSession:
     node_starts: np.ndarray
     paths: np.ndarray
 
-    @property
-    def w_sum(self) -> np.ndarray:
-        """The K1 node rows, applied to s = p_e + p_t (two thirds of ``rows``)."""
-        return self.rows[: self.rows.shape[0] // 3 * 2]
-
-    @property
-    def w_diff(self) -> np.ndarray:
-        """The K2 node rows, applied to delta = p_e - p_t."""
-        return self.rows[self.rows.shape[0] // 3 * 2 :]
+    def __post_init__(self):
+        top_prior = self.log_prior.reshape(2, -1).max(axis=1).tolist()
+        if -math.inf in top_prior:
+            name = ("same-speaker", "different-speaker")[top_prior.index(-math.inf)]
+            raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
+        for a in (self.half_log_det_sigma, self.log_prior, self.projection, self.rows,
+                  self.node_starts, self.paths):
+            a.setflags(write=False)
 
 
 def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
@@ -172,17 +179,17 @@ def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
     positive definite, or None.
 
     One stacked Cholesky factorizes the level. When it fails, each block
-    is factorized on its own to find the ones that fail; these, like the
-    non-finite ones, are replaced by the identity, so that the build can
-    go on to the levels below. The triangular inverses take one dtrtri
-    each, in place: the stacked ways tried (scipy's batched ``inv``, the
-    lower left block F^-T of the Cholesky of [[S, I], [I, cI]], doubling
-    the diagonal blocks in numpy) were 1.5 to 3 times slower on the
-    benchmark models' levels.
+    is factorized on its own by the same call, to find the ones that
+    fail; these, like the non-finite ones, are replaced by the identity,
+    so that the build can go on to the levels below. The triangular
+    inverses take one dtrtri each, in place: the stacked ways tried
+    (scipy's batched ``inv``, the lower left block F^-T of the Cholesky
+    of [[S, I], [I, cI]], doubling the diagonal blocks in numpy) were 1.5
+    to 3 times slower on the benchmark models' levels.
     """
     n, r, _ = blocks.shape
     failed = np.zeros(n, dtype=bool)
-    # dpotrf would pass an infinity; a finite sum has finite terms
+    # LAPACK would pass an infinity; a finite sum has finite terms
     if not math.isfinite(blocks.sum()):
         failed = ~np.isfinite(blocks).all(axis=(1, 2))
         blocks[failed] = np.eye(r)
@@ -191,8 +198,10 @@ def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
     except np.linalg.LinAlgError:
         factors = np.empty_like(blocks)
         for i, block in enumerate(blocks):
-            factors[i], info = dpotrf(block, lower=1, clean=1)
-            failed[i] |= info != 0
+            try:
+                factors[i] = np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                failed[i] = True
         factors[failed] = np.eye(r)
     # K >= I, so every Schur complement of K is >= I too and bounds
     # |F^-1|_2 by 1: applying the explicit inverse is as stable as a
@@ -215,7 +224,8 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     E P = B^T K_path^-1, the first R_k rows of U, and Schur block
     C - (E P) B; its rows are X = F^-1 [-E P, I], where F F^T is the
     Schur block plus the node's diagonal. Both K1 children of a path
-    share E P and the Schur block. A child path's K^-1 gains X^T X, so
+    share E P and the Schur block, and a node's log-determinant, -log|F|,
+    is read off the diagonal of F^-1. A child path's K^-1 gains X^T X, so
     its cross term is U[R_k:] + (2G[later, :end_k] X^T) X. On the K2
     side a tied group adds neither a node nor a term. A path keeps
     [-U | I] over all R_z columns, I on the later groups' own columns:
@@ -276,6 +286,7 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     filled = [0, 2 * per_side]
     terms = [np.eye(r_z)[None]] * 2  # per side, [path]: [-U | I]
     log_prior = np.zeros(2)  # the speaker's tie bit adds nothing
+    node_log_det = ([], [])  # per side, per level with rows
     failures = []
     # Overflow leaves a non-finite Schur block, which raises FactorizationFailed.
     with np.errstate(all="ignore"):
@@ -293,6 +304,11 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
             if failing is not None:
                 failures.append(failing)
             inv = inv.reshape(n, 3, r, r)
+            if r:
+                logs = np.log(inv.diagonal(axis1=2, axis2=3)).reshape(-1)
+                log_det = np.add.reduceat(logs, np.arange(0, logs.size, r)).reshape(n, 3)
+                node_log_det[0].append(log_det[:, :2].reshape(-1))
+                node_log_det[1].append(log_det[:, 2])
             if k:
                 log_prior = (log_prior.reshape(2, -1, 1) + log_factors[k - 1]).reshape(-1)
 
@@ -318,43 +334,30 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
             filled[0] += 2 * n * r
             filled[1] += n * r
     if failures:
-        first = min(failures, key={h: i for i, h in enumerate(hyps)}.__getitem__)
         raise FactorizationFailed(
-            f"posterior precision for hypothesis {first} is not positive "
-            "definite; check the model's noise precision"
+            f"posterior precision for hypothesis {min(failures, key=hyps.index)} is not "
+            "positive definite; check the model's noise precision"
         )
 
     # Nodes are numbered level by level, K1 nodes first, and only those
     # with rows. Column i of ``paths``: hypothesis i's K1 node at each
-    # such level, then its K2 node at each such level that it unties.
+    # such level, then its K2 node there, or -1 where it ties the group.
     levels = np.flatnonzero(sizes)
     level_sizes = np.array(sizes)[levels]
     count = 2**levels  # K2 nodes per level; twice as many K1 nodes
     before = np.cumsum(count) - count
-    index = np.arange(len(hyps))
-    prefix = index >> (n_cond - levels)[:, None]
-    paths = np.full((2 * (n_cond + 1), len(hyps)), -1, dtype=np.intp)
-    paths[: levels.size] = 2 * before[:, None] + prefix
-    untied = (prefix & 1).astype(bool)
-    level, hyp = np.nonzero(untied)
-    position = levels.size + np.cumsum(untied, axis=0) - 1
-    paths[position[level, hyp], hyp] = 2 * count.sum() + before[level] + (prefix[level, hyp] >> 1)
-    repeat = np.concatenate([2 * count, count])
-    node_sizes = np.repeat(np.concatenate([level_sizes, level_sizes]), repeat)
+    prefix = np.arange(len(hyps)) >> (n_cond - levels)[:, None]
+    untied = prefix & 1
+    k2_nodes = 2 * count.sum() + before[:, None] + (prefix >> 1)
+    paths = np.concatenate([2 * before[:, None] + prefix, np.where(untied, k2_nodes, -1)])
+    node_sizes = np.repeat(np.tile(level_sizes, 2), np.concatenate([2 * count, count]))
     node_starts = np.cumsum(node_sizes) - node_sizes
-    # A node's diagonal entries of F^-1, 1 / diag F, sit in its own
-    # group's columns: row j of a node of group k in column start_k + j.
-    shift = np.repeat(node_starts - np.repeat(np.tile(np.array(starts)[levels], 2), repeat), node_sizes)
-    diagonal = rows[np.arange(rows.shape[0]), np.arange(rows.shape[0]) - shift]
-    log_det = np.zeros(node_starts.size + 1)  # -1 in ``paths`` reads the last 0
-    log_det[:-1] = np.add.reduceat(np.log(diagonal), node_starts)
+    log_det = np.concatenate([*node_log_det[0], *node_log_det[1], [0.0]])  # -1 reads the 0
     n_d = (level_sizes[:, None] * untied).sum(axis=0)
     half_log_det_sigma = n_d * math.log(2.0) + log_det[paths].sum(axis=0)
-    for a in (projection, half_log_det_sigma, log_prior, rows, node_starts, paths):
-        a.setflags(write=False)
     return ScoringSession(
         model=model,
-        factorizations=MappingProxyType({h: i for i, h in enumerate(hyps)}),
+        factorizations=tuple(hyps),
         half_log_det_sigma=half_log_det_sigma,
         log_prior=log_prior,
         projection=projection,
@@ -402,8 +405,9 @@ def _whiten(session: ScoringSession, x: np.ndarray) -> np.ndarray:
 
 def _trial_rows(session: ScoringSession, rows_e, rows_t, out) -> np.ndarray:
     """Trials' whitened rows from their ids' rows (one row per trial):
-    the sum on the ``w_sum`` rows and the difference on the ``w_diff`` rows."""
-    n_sum = session.w_sum.shape[0]
+    the sum on the K1 rows, the first two thirds, and the difference on
+    the K2 rows."""
+    n_sum = session.rows.shape[0] // 3 * 2
     np.add(rows_e[:, :n_sum], rows_t[:, :n_sum], out=out[:, :n_sum])
     np.subtract(rows_e[:, n_sum:], rows_t[:, n_sum:], out=out[:, n_sum:])
     return out
@@ -438,13 +442,7 @@ def _score_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
     hypothesis order (a sum along a contiguous axis would be pairwise for
     a single trial only). So a score has the same bits in a block of any
     size. Overflow shows up as NaN, which the callers turn into NonFinite.
-
-    Raises AllHypothesesExcluded when a whole branch has prior zero.
     """
-    top_prior = session.log_prior.reshape(2, -1).max(axis=1).tolist()
-    if -math.inf in top_prior:
-        name = ("same-speaker", "different-speaker")[top_prior.index(-math.inf)]
-        raise AllHypothesesExcluded(f"every hypothesis in the {name} branch has prior 0")
     q = _q_block(session, rows)
     n, _, n_hyp = q.shape
     terms = np.empty((n_hyp, n, 2)).transpose(1, 2, 0)
@@ -503,7 +501,6 @@ def llr(session: ScoringSession, m_enroll, m_test) -> float:
     """Log-likelihood ratio for one trial; inputs are raw (uncentered).
 
     Raises:
-      AllHypothesesExcluded: one branch has zero total prior.
       DimensionMismatch: an input is not a vector of length d; the
         message names the enroll or the test vector.
       NonFinite: an input holds a NaN or an infinity, or the score is NaN
@@ -536,7 +533,7 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
             f"tie vector has length {len(hv.condition_tied)}, "
             f"the model has {session.model.n_conditions} conditions"
         )
-    i = session.factorizations[hv]
+    i = session.factorizations.index(hv)
     with np.errstate(all="ignore"):
         q = float(_q_block(session, _one_trial(session, m_enroll, m_test)).reshape(-1)[i])
     if math.isnan(q) or q == math.inf:
@@ -600,7 +597,6 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
         length d; the message names the id.
       NonFinite: a referenced embedding holds a NaN or an infinity, or a
         trial's score is NaN (overflow); the message names the ids.
-      AllHypothesesExcluded: one branch has zero total prior.
     """
     trials = [(e, t) for e, t in trials]
     n = len(trials)

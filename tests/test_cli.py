@@ -146,15 +146,11 @@ def test_score_wrong_width_table_names_enroll_id(pipeline, tmp_path, capsys):
     assert f"enroll id {eid!r}" in capsys.readouterr().err
 
 
-def test_score_exit_2_when_branch_excluded(pipeline, monkeypatch):
-    import jplda.cli as cli
-    from jplda.errors import AllHypothesesExcluded
-
-    def boom(*args, **kwargs):
-        raise AllHypothesesExcluded("branch empty")
-
-    monkeypatch.setattr(cli.scoring, "score_trials", boom)
-    assert run_score(pipeline) == 2
+def test_score_trial_with_empty_id_exits_1(pipeline, tmp_path, capsys):
+    eid = io.load_trials(pipeline["trials"])[0][0]
+    (tmp_path / "empty.tsv").write_text(f"{eid}\t\ttarget\n")
+    assert run_score(dict(pipeline, trials=tmp_path / "empty.tsv")) == 1
+    assert "empty.tsv:1: empty id" in capsys.readouterr().err
 
 
 def test_synth_deterministic_and_reloadable(pipeline, tmp_path, capsys):

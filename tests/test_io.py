@@ -261,6 +261,14 @@ def test_trials_reject_bad_label(tmp_path):
         io.load_trials(path)
 
 
+@pytest.mark.parametrize("line", ["\tt2\n", "e2\t\n", "e2\t\ttarget\n", "\tt2\tnontarget\n"])
+def test_trials_reject_empty_id(tmp_path, line):
+    path = tmp_path / "trials.tsv"
+    path.write_text("e1\tt1\n" + line)
+    with pytest.raises(MalformedFile, match=r"trials\.tsv:2: empty id$"):
+        io.load_trials(path)
+
+
 def test_priors_round_trip(tmp_path):
     path = tmp_path / "priors.cfg"
     priors = PriorConfig((0.25, 1.0), (0.7, 0.0))
@@ -314,6 +322,14 @@ def test_scores_reject_malformed(tmp_path):
         io.load_scores(path)
     path.write_text("e\tt\tabc\n")
     with pytest.raises(MalformedFile):
+        io.load_scores(path)
+
+
+@pytest.mark.parametrize("line", ["\tt2\t2.0\n", "e2\t\t2.0\n"])
+def test_scores_reject_empty_id(tmp_path, line):
+    path = tmp_path / "scores.tsv"
+    path.write_text("e1\tt1\t1.0\n" + line)
+    with pytest.raises(MalformedFile, match=r"scores\.tsv:2: empty id$"):
         io.load_scores(path)
 
 

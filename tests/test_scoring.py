@@ -87,15 +87,19 @@ def test_k_sum_no_untied_block(rng):
     np.testing.assert_allclose(k, want, atol=1e-12)
 
 
+# (d, R_y, R_x): N = 2, N = 0, N = 3 (four tree levels), a rank-0 speaker
+# subspace (an empty first level), R_z > d, and N = 4
+SESSION_SHAPES = ((4, 2, (1, 2)), (4, 2, ()), (4, 2, (1, 2, 1)), (4, 0, (1, 2)),
+                  (3, 2, (2, 1)), (5, 1, (2, 1, 1, 2)))
+
+
 def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
     # one K1 leaf block per hypothesis, in session order; the levels built
     # in order, each in one call that factorizes every node of the level
     # once (2^(k+1) K1 and 2^k K2 blocks of R_k rows, empty levels
     # included, 2^(N+2) - 2 + 2^(N+1) - 1 in all); and each hypothesis'
     # term is the log-determinant, prior and quadratic form of its full
-    # posterior precision: at N = 2, N = 0, N = 3 (four tree levels), with
-    # a rank-0 speaker subspace (an empty first level), with R_z > d and
-    # at N = 4
+    # posterior precision, on every shape of SESSION_SHAPES
     levels = []
     real_factorize = scoring._factorize_level
 
@@ -104,8 +108,7 @@ def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
         return real_factorize(blocks, first)
 
     monkeypatch.setattr(scoring, "_factorize_level", factorize)
-    for d, r_y, r_x in ((4, 2, (1, 2)), (4, 2, ()), (4, 2, (1, 2, 1)), (4, 0, (1, 2)),
-                        (3, 2, (2, 1)), (5, 1, (2, 1, 1, 2))):
+    for d, r_y, r_x in SESSION_SHAPES:
         n = len(r_x)
         model = random_model(rng, d, r_y, r_x)
         priors = random_priors(rng, n)
@@ -130,6 +133,31 @@ def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
             assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_session_paths_list_each_hypothesis_nodes(rng):
+    # row k of column i is hypothesis i's K1 node at the k-th level that
+    # has rows, and row L + k its K2 node there, or -1 where it ties the
+    # group (L levels with rows). A node is its position in node_starts,
+    # found here from the layout of the rows: the K1 nodes level by level,
+    # 2^(k+1) of R_k rows at level k, then the K2 nodes, 2^k at level k,
+    # each level in the binary order of its paths' tie bits, untied as 1
+    for d, r_y, r_x in SESSION_SHAPES:
+        session = precompute_session(random_model(rng, d, r_y, r_x), random_priors(rng, len(r_x)))
+        sizes = (r_y,) + r_x
+        k1_first = np.cumsum([0] + [2 ** (k + 1) * r for k, r in enumerate(sizes)])
+        k2_first = k1_first[-1] + np.cumsum([0] + [2**k * r for k, r in enumerate(sizes)])
+        node = {row: i for i, row in enumerate(session.node_starts.tolist())}
+        levels = [k for k, r in enumerate(sizes) if r]
+        assert len(node) == sum(3 * 2**k for k in levels)
+        assert session.paths.shape == (2 * len(levels), 2 ** (len(r_x) + 1))
+        for i, h in enumerate(session.factorizations):
+            untied = [not t for t in (h.speaker_tied, *h.condition_tied)]
+            for j, k in enumerate(levels):
+                path = sum(b << (k - l) for l, b in enumerate(untied[: k + 1]))
+                assert session.paths[j, i] == node[k1_first[k] + path * sizes[k]]
+                k2 = node[k2_first[k] + (path >> 1) * sizes[k]] if untied[k] else -1
+                assert session.paths[len(levels) + j, i] == k2
+
+
 def test_session_size_guard_runs_before_factorizing(rng, factorizations, monkeypatch):
     # the guard counts the whitening rows and the cross terms that the
     # build holds for two consecutive levels: 2^(k+1) paths into level k,
@@ -137,7 +165,7 @@ def test_session_size_guard_runs_before_factorizing(rng, factorizations, monkeyp
     model = random_model(rng, 4, 2, (1, 2))
     session = precompute_session(model, PriorConfig.uniform(2))
     cross = [2 * 5 * 5, 4 * 3 * 5, 8 * 2 * 5]
-    nbytes = session.w_sum.nbytes + session.w_diff.nbytes + 8 * (cross[1] + cross[2])
+    nbytes = session.rows.nbytes + 8 * (cross[1] + cross[2])
     monkeypatch.setattr(scoring, "MAX_WHITENING_BYTES", nbytes)
     precompute_session(model, PriorConfig.uniform(2))
     factorizations.clear()
@@ -267,7 +295,7 @@ def test_q_term_zero_inputs_reduce_to_log_det(rng):
     priors = random_priors(rng, 1)
     session = precompute_session(model, priors)
     h = (True,)
-    i = session.factorizations[HypothesisVector(False, h)]
+    i = session.factorizations.index(HypothesisVector(False, h))
     want = session.half_log_det_sigma[i] + session.log_prior[i]
     got = q_term(session, False, h, model.mu, model.mu)
     assert got == pytest.approx(want, abs=1e-12)
@@ -575,13 +603,28 @@ def test_llr_prior_scaling_invariance(rng):
 
 
 def test_llr_all_hypotheses_excluded(rng):
+    # checked when the session is built, also through dataclasses.replace,
+    # so no session that llr sees can have an excluded branch
     model = random_model(rng, 2, 1, (1,))
     session = precompute_session(model, PriorConfig.uniform(1))
-    log_prior = session.log_prior.copy()
-    log_prior[: log_prior.size // 2] = -math.inf
-    broken = dataclasses.replace(session, log_prior=log_prior)
-    with pytest.raises(AllHypothesesExcluded):
-        llr(broken, rng.standard_normal(2), rng.standard_normal(2))
+    for branch, name in enumerate(("same-speaker", "different-speaker")):
+        log_prior = session.log_prior.copy().reshape(2, -1)
+        log_prior[branch] = -math.inf
+        message = f"^every hypothesis in the {name} branch has prior 0$"
+        with pytest.raises(AllHypothesesExcluded, match=message):
+            dataclasses.replace(session, log_prior=log_prior.reshape(-1))
+
+
+def test_session_arrays_are_read_only_also_after_replace(rng):
+    model = random_model(rng, 3, 1, (1, 2))
+    session = precompute_session(model, PriorConfig.uniform(2))
+    copies = {f.name: getattr(session, f.name).copy() for f in dataclasses.fields(session)
+              if isinstance(getattr(session, f.name), np.ndarray)}
+    assert sorted(copies) == ["half_log_det_sigma", "log_prior", "node_starts", "paths",
+                              "projection", "rows"]
+    for built in (session, dataclasses.replace(session, **copies)):
+        for name in copies:
+            assert not getattr(built, name).flags.writeable, name
 
 
 PROBABILITY = st.one_of(
@@ -645,7 +688,7 @@ BLOCK_BOUNDS = [
 def set_trials_per_block(monkeypatch, session, trials_per_block):
     """Shrink score_trials' byte bound to a given number of trials per block."""
     if trials_per_block is not None:
-        row_bytes = 8 * (session.w_sum.shape[0] + session.w_diff.shape[0])
+        row_bytes = 8 * session.rows.shape[0]
         monkeypatch.setattr(scoring, "BLOCK_BYTES", trials_per_block * row_bytes)
 
 
