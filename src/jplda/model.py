@@ -94,8 +94,6 @@ class ModelParams:
         # factor of D would, without first copying D into Fortran order.
         if d and dpotrf(self.D.T, lower=0, clean=0)[1] != 0:
             raise NotPositiveDefinite("D is not positive definite")
-        diagonal = np.count_nonzero(self.D) == np.count_nonzero(self.D.diagonal())
-        object.__setattr__(self, "diagonal_noise", bool(diagonal))
 
     # derived sizes -----------------------------------------------------
 
@@ -160,10 +158,7 @@ def collapse_to_plda(model: ModelParams) -> ModelParams:
     """
     if model.n_conditions == 0:
         return model
-    if model.diagonal_noise:
-        noise_cov = np.diag(1.0 / np.diag(model.D))
-    else:
-        noise_cov = _spd_inverse(model.D)
+    noise_cov = _spd_inverse(model.D)
     for u in model.U:
         noise_cov = noise_cov + u @ u.T
     try:

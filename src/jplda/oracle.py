@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllHypothesesExcluded, OrphanLatent
+from .errors import DimensionMismatch, NonFinite, OrphanLatent
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior
 from .model import ModelParams, stack_w
 
@@ -98,13 +98,12 @@ def marginal_cov(model: ModelParams, h: HypothesisVector) -> np.ndarray:
     Both diagonal blocks are the total covariance
     V V^T + sum_j U_j U_j^T + D^-1; the off-diagonal block is the sum of
     the outer products of the factors that h ties across the two sides.
+    D^-1 is ``inv(D)``, symmetrized; for a diagonal D that is exactly
+    diag(1 / diag D).
     """
     d = model.d
-    if model.diagonal_noise:
-        noise_cov = np.diag(1.0 / np.diag(model.D))
-    else:
-        noise_cov = np.linalg.inv(model.D)
-        noise_cov = 0.5 * (noise_cov + noise_cov.T)
+    noise_cov = np.linalg.inv(model.D)
+    noise_cov = 0.5 * (noise_cov + noise_cov.T)
     total = model.V @ model.V.T + noise_cov
     shared = np.zeros((d, d))
     if h.speaker_tied:
@@ -121,19 +120,36 @@ def marginal_cov(model: ModelParams, h: HypothesisVector) -> np.ndarray:
     return out
 
 
+def _checked_vector(model: ModelParams, m, what: str) -> np.ndarray:
+    """One raw vector, centered, or the error that names it."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (model.d,):
+        raise DimensionMismatch(
+            f"{what} has shape {m.shape}, expected a vector of length {model.d}"
+        )
+    if not np.isfinite(m).all():
+        raise NonFinite(f"{what} contains non-finite values")
+    return m - model.mu
+
+
 def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_test) -> float:
     """Trial LLR from the explicit 2d-dimensional Gaussian marginals.
 
     Same contract as ``scoring.llr`` (raw inputs, mean subtracted here),
     evaluated the slow way: one full-covariance log-density per
-    hypothesis, then a log-sum-exp per speaker branch.
+    hypothesis, then a log-sum-exp per speaker branch. A valid
+    ``PriorConfig`` gives every branch a hypothesis of nonzero prior.
+
+    Raises:
+      DimensionMismatch: an input is not a vector of length d; the
+        message names the enroll or the test vector.
+      NonFinite: an input holds a NaN or an infinity, or the pair's
+        log-density overflowed.
     """
-    pair = np.concatenate(
-        [
-            np.asarray(m_enroll, dtype=np.float64) - model.mu,
-            np.asarray(m_test, dtype=np.float64) - model.mu,
-        ]
-    )
+    pair = np.concatenate([
+        _checked_vector(model, m_enroll, "enroll vector"),
+        _checked_vector(model, m_test, "test vector"),
+    ])
 
     def branch(speaker_tied: bool) -> float:
         terms = []
@@ -141,19 +157,16 @@ def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_tes
             h = HypothesisVector(speaker_tied, cond)
             log_prior = hypothesis_log_prior(h, priors)
             if log_prior == -math.inf:
-                terms.append(-math.inf)
                 continue
-            terms.append(_logpdf_zero_mean(pair, marginal_cov(model, h)) + log_prior)
+            log_pdf = _logpdf_zero_mean(pair, marginal_cov(model, h))
+            if not math.isfinite(log_pdf):
+                raise NonFinite(f"the pair's log-density under {h} overflowed")
+            terms.append(log_pdf + log_prior)
         m = max(terms)
-        if m == -math.inf:
-            raise AllHypothesesExcluded(
-                "every hypothesis in the "
-                + ("same-speaker" if speaker_tied else "different-speaker")
-                + " branch has prior 0"
-            )
         return m + math.log(sum(math.exp(t - m) for t in terms))
 
-    return branch(True) - branch(False)
+    with np.errstate(all="ignore"):  # an overflow raises NonFinite instead
+        return branch(True) - branch(False)
 
 
 def joint_prior_logpdf(latents: LabeledLatents) -> float:

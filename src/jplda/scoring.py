@@ -74,7 +74,9 @@ from .errors import (
     AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
     UnknownId,
 )
-from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
+from .hypothesis import (
+    HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior,
+)
 from .model import ModelParams, stack_w
 
 __all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trials"]
@@ -120,8 +122,9 @@ class ScoringSession:
     trials. ``factorizations`` lists the ``HypothesisVector`` of each
     position i: same-speaker branch first, each branch in
     ``enumerate_condition_hypotheses`` order. Indexed by i are
-    ``half_log_det_sigma`` (0.5 log|Sigma|) and ``log_prior`` (-inf
-    allowed; the session's only copy of the priors).
+    ``half_log_det_sigma`` (0.5 log|Sigma|) and ``log_prior``, the
+    ``hypothesis_log_prior`` of each hypothesis (-inf allowed; the
+    session's only copy of the priors).
 
     The tree's nodes are stored once each, in ``rows``, every row padded
     to R_z columns: first the rows of the K1 nodes (2^(k+1) at level k,
@@ -231,8 +234,8 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     [-U | I] over all R_z columns, I on the later groups' own columns:
     its first R_k rows [-E P | I | 0] give a node's padded rows by one
     product. Each level's K1 and K2 blocks are factorized by one stacked
-    call (``_factorize_level``); the log priors are summed level by
-    level, in the order of ``hypothesis_log_prior``.
+    call (``_factorize_level``). ``log_prior`` is
+    ``hypothesis_log_prior`` of each hypothesis, in session order.
 
     Raises:
       DimensionMismatch: the priors do not cover the model's conditions.
@@ -269,12 +272,6 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     del w, dw, gram
     cond_hyps = enumerate_condition_hypotheses(n_cond)
     hyps = [HypothesisVector(spk, c) for spk in (True, False) for c in cond_hyps]
-    # per condition, [speaker branch, 0, tie bit]: log p or log(1 - p), as
-    # ``hypothesis_log_prior`` adds them
-    log_factors = [
-        [[[math.log(f) if f else -math.inf for f in (p, 1.0 - p)]] for p in pair]
-        for pair in zip(priors.p_same_given_ss, priors.p_same_given_ds)
-    ]
 
     # Both sides' rows in one block: freed as one piece, it raises
     # glibc's heap trim threshold above what a session frees, so the
@@ -285,7 +282,6 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
     rows = np.zeros((3 * per_side, r_z))
     filled = [0, 2 * per_side]
     terms = [np.eye(r_z)[None]] * 2  # per side, [path]: [-U | I]
-    log_prior = np.zeros(2)  # the speaker's tie bit adds nothing
     node_log_det = ([], [])  # per side, per level with rows
     failures = []
     # Overflow leaves a non-finite Schur block, which raises FactorizationFailed.
@@ -309,8 +305,6 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
                 log_det = np.add.reduceat(logs, np.arange(0, logs.size, r)).reshape(n, 3)
                 node_log_det[0].append(log_det[:, :2].reshape(-1))
                 node_log_det[1].append(log_det[:, 2])
-            if k:
-                log_prior = (log_prior.reshape(2, -1, 1) + log_factors[k - 1]).reshape(-1)
 
             k1 = rows[filled[0] : filled[0] + 2 * n * r].reshape(n, 2, r, r_z)
             k2 = rows[filled[1] : filled[1] + n * r].reshape(n, 1, r, r_z)
@@ -359,7 +353,7 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         model=model,
         factorizations=tuple(hyps),
         half_log_det_sigma=half_log_det_sigma,
-        log_prior=log_prior,
+        log_prior=np.array([hypothesis_log_prior(h, priors) for h in hyps]),
         projection=projection,
         rows=rows,
         node_starts=node_starts,

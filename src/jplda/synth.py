@@ -44,18 +44,14 @@ class SyntheticDataset:
 
 
 def _noise_factor(model: ModelParams) -> np.ndarray:
-    """What ``_noise`` draws with: sqrt(diag D) for a diagonal D, else the
-    lower Cholesky factor L of D. Each public function computes it once."""
-    if model.diagonal_noise:
-        return np.sqrt(np.diag(model.D))
+    """What ``_noise`` draws with: the lower Cholesky factor L of D, for a
+    diagonal D too. Each public function computes it once."""
     return sla.cholesky(model.D, lower=True)
 
 
 def _noise(factor: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n rows of N(0, D^-1) noise, given ``_noise_factor(model)``."""
     e = rng.standard_normal((n, factor.shape[0]))
-    if factor.ndim == 1:
-        return e / factor
     # eps = L^-T e  gives cov (L L^T)^-1 = D^-1
     return sla.solve_triangular(factor, e.T, lower=True, trans="T").T
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from jplda import HypothesisVector, ModelParams, OrphanLatent, PriorConfig
+from jplda import (
+    DimensionMismatch, HypothesisVector, ModelParams, NonFinite, OrphanLatent, PriorConfig,
+)
 from jplda.oracle import (
     LabeledLatents,
     data_loglik,
@@ -70,7 +72,46 @@ def test_marginal_cov_is_spd(rng):
                 np.linalg.cholesky(cov)
 
 
+def test_marginal_cov_diagonal_noise_block_is_reciprocal(rng):
+    # inv(D) of a diagonal D has the bits of diag(1 / diag D)
+    for d in range(1, 9):
+        big_d = np.diag(rng.uniform(0.1, 10.0, size=d))
+        model = ModelParams(mu=np.zeros(d), V=np.zeros((d, 0)), U=(), D=big_d)
+        cov = marginal_cov(model, HypothesisVector(False, ()))
+        want = np.diag(1.0 / np.diag(big_d))
+        assert cov[:d, :d].tobytes() == want.tobytes()
+        assert cov[d:, d:].tobytes() == want.tobytes()
+
+
 # llr oracle --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("side", ["enroll", "test"])
+def test_oracle_rejects_non_finite_input(rng, side, bad):
+    model = random_model(rng, 3, 1, (1,))
+    pair = {"enroll": rng.standard_normal(3), "test": rng.standard_normal(3)}
+    pair[side][1] = bad
+    with pytest.raises(NonFinite, match=f"^{side} vector contains non-finite values$"):
+        gaussian_llr_oracle(model, PriorConfig.uniform(1), pair["enroll"], pair["test"])
+
+
+def test_oracle_rejects_overflowing_input(rng):
+    model = random_model(rng, 3, 1, (1,))
+    m = np.full(3, 1e200)
+    with pytest.raises(NonFinite, match="log-density under .* overflowed$"):
+        gaussian_llr_oracle(model, PriorConfig.uniform(1), m, m)
+
+
+@pytest.mark.parametrize("side", ["enroll", "test"])
+def test_oracle_rejects_wrong_length_input(rng, side):
+    model = random_model(rng, 3, 1, (1,))
+    pair = {"enroll": rng.standard_normal(3), "test": rng.standard_normal(3)}
+    pair[side] = rng.standard_normal(4)
+    with pytest.raises(
+        DimensionMismatch, match=rf"^{side} vector has shape \(4,\), expected a vector of length 3$"
+    ):
+        gaussian_llr_oracle(model, PriorConfig.uniform(1), pair["enroll"], pair["test"])
 
 
 def test_oracle_zero_speaker_subspace_gives_zero(rng):

@@ -133,8 +133,9 @@ def test_benchmark_rejects_priors_for_other_condition_count(rng):
         make_benchmark(model, PriorConfig.uniform(2), 2, 2, seed=0)
 
 
-def test_benchmark_factorizes_full_noise_once(rng, monkeypatch):
-    model = random_model(rng, 3, 1, (1, 1))
+@pytest.mark.parametrize("diagonal_noise", [False, True], ids=["full-D", "diagonal-D"])
+def test_benchmark_factorizes_noise_once(rng, monkeypatch, diagonal_noise):
+    model = random_model(rng, 3, 1, (1, 1), diagonal_noise)
     calls = []
     real = synth.sla.cholesky
 
