@@ -9,6 +9,9 @@ they open the file.
 Embedding tables are parsed in blocks of rows by numpy's C reader; any
 block it might read differently from Python's ``float()`` sends the
 whole file to a row reader, so values and errors are the row reader's.
+The trial and score readers intern ids per file: every row that names
+an id holds the same ``str`` object, so a list that reuses its ids
+costs one pointer per repeat.
 """
 
 import itertools
@@ -247,9 +250,11 @@ def load_trials(path) -> list:
     """Read trial rows as (enroll_id, test_id, label-or-None) tuples.
 
     The third column, when present, must be "target" or "nontarget" and
-    maps to True / False. Neither id may be empty.
+    maps to True / False. Neither id may be empty. Ids are interned per
+    file: equal ids are one ``str`` object.
     """
     out = []
+    ids = {}
     for lineno, fields in _tsv_rows(path):
         if len(fields) not in (2, 3):
             raise MalformedFile(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
@@ -262,7 +267,8 @@ def load_trials(path) -> list:
                     f"{path}:{lineno}: label must be target or nontarget, got {fields[2]!r}"
                 )
             label = fields[2] == "target"
-        out.append((fields[0], fields[1], label))
+        eid, tid = fields[0], fields[1]
+        out.append((ids.setdefault(eid, eid), ids.setdefault(tid, tid), label))
     return out
 
 
@@ -329,17 +335,21 @@ def save_scores(path, trials, scores) -> None:
 
 def load_scores(path) -> list:
     """Read score rows as (enroll_id, test_id, score) tuples; neither id
-    may be empty."""
+    may be empty. Ids are interned per file: equal ids are one ``str``
+    object."""
     out = []
+    ids = {}
     for lineno, fields in _tsv_rows(path):
         if len(fields) != 3:
             raise MalformedFile(f"{path}:{lineno}: expected 3 tab-separated fields")
         if not (fields[0] and fields[1]):
             raise MalformedFile(f"{path}:{lineno}: empty id")
         try:
-            out.append((fields[0], fields[1], float(fields[2])))
+            score = float(fields[2])
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: bad score ({exc})") from exc
+        eid, tid = fields[0], fields[1]
+        out.append((ids.setdefault(eid, eid), ids.setdefault(tid, tid), score))
     return out
 
 

@@ -92,6 +92,30 @@ def _logpdf_zero_mean(x: np.ndarray, cov: np.ndarray) -> float:
     return -0.5 * n * _LOG_2PI - float(np.sum(np.log(np.diag(chol)))) - 0.5 * float(u @ u)
 
 
+def _cov_terms(model: ModelParams) -> tuple:
+    """The covariance pieces that no hypothesis changes: the total
+    covariance V V^T + D^-1 + sum_j U_j U_j^T, added in that order, V V^T
+    and each U_j U_j^T. D^-1 is ``inv(D)``, symmetrized."""
+    noise_cov = np.linalg.inv(model.D)
+    noise_cov = 0.5 * (noise_cov + noise_cov.T)
+    vv = model.V @ model.V.T
+    uu = [u @ u.T for u in model.U]
+    total = vv + noise_cov
+    for term in uu:
+        total = total + term
+    return total, vv, uu
+
+
+def _pair_cov(terms: tuple, h: HypothesisVector) -> np.ndarray:
+    """``marginal_cov`` from the model's ``_cov_terms``."""
+    total, vv, uu = terms
+    shared = np.zeros_like(total)
+    for term, tied in zip((vv, *uu), (h.speaker_tied, *h.condition_tied)):
+        if tied:
+            shared = shared + term
+    return np.block([[total, shared], [shared, total]])
+
+
 def marginal_cov(model: ModelParams, h: HypothesisVector) -> np.ndarray:
     """Covariance of the stacked centered pair [mE; mT] under hypothesis h.
 
@@ -101,23 +125,7 @@ def marginal_cov(model: ModelParams, h: HypothesisVector) -> np.ndarray:
     D^-1 is ``inv(D)``, symmetrized; for a diagonal D that is exactly
     diag(1 / diag D).
     """
-    d = model.d
-    noise_cov = np.linalg.inv(model.D)
-    noise_cov = 0.5 * (noise_cov + noise_cov.T)
-    total = model.V @ model.V.T + noise_cov
-    shared = np.zeros((d, d))
-    if h.speaker_tied:
-        shared = shared + model.V @ model.V.T
-    for u, tied in zip(model.U, h.condition_tied):
-        total = total + u @ u.T
-        if tied:
-            shared = shared + u @ u.T
-    out = np.zeros((2 * d, 2 * d))
-    out[:d, :d] = total
-    out[d:, d:] = total
-    out[:d, d:] = shared
-    out[d:, :d] = shared
-    return out
+    return _pair_cov(_cov_terms(model), h)
 
 
 def _checked_vector(model: ModelParams, m, what: str) -> np.ndarray:
@@ -137,7 +145,8 @@ def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_tes
 
     Same contract as ``scoring.llr`` (raw inputs, mean subtracted here),
     evaluated the slow way: one full-covariance log-density per
-    hypothesis, then a log-sum-exp per speaker branch. A valid
+    hypothesis, then a log-sum-exp per speaker branch. The covariance
+    pieces that no hypothesis changes are built once per call. A valid
     ``PriorConfig`` gives every branch a hypothesis of nonzero prior.
 
     Raises:
@@ -158,7 +167,7 @@ def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_tes
             log_prior = hypothesis_log_prior(h, priors)
             if log_prior == -math.inf:
                 continue
-            log_pdf = _logpdf_zero_mean(pair, marginal_cov(model, h))
+            log_pdf = _logpdf_zero_mean(pair, _pair_cov(cov, h))
             if not math.isfinite(log_pdf):
                 raise NonFinite(f"the pair's log-density under {h} overflowed")
             terms.append(log_pdf + log_prior)
@@ -166,6 +175,7 @@ def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_tes
         return m + math.log(sum(math.exp(t - m) for t in terms))
 
     with np.errstate(all="ignore"):  # an overflow raises NonFinite instead
+        cov = _cov_terms(model)
         return branch(True) - branch(False)
 
 

@@ -447,7 +447,7 @@ def _score_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
     return lse[:, 0] - lse[:, 1]
 
 
-# what ``_checked_ids`` looks up for an id that its table lacks
+# what ``score_trials`` looks up for an id that its table lacks
 _UNKNOWN = object()
 
 
@@ -465,28 +465,29 @@ def _checked_vector(session: ScoringSession, m, what: str) -> np.ndarray:
     return m
 
 
-def _stacked(session: ScoringSession, vectors: list):
+def _checked_stack(session: ScoringSession, vectors: list, name) -> np.ndarray:
     """The raw vectors as the rows of one finite float64 matrix of width
-    d, or None. Checking them all at once is cheap; callers check them
-    one by one (``_checked_vector``) only after None, to name the first
-    bad one."""
+    d, then, for an odd count, the mean, which centers to a zero pad.
+
+    Checking them all at once is cheap. Only when that fails is each
+    checked on its own, in order, so that the error names the first bad
+    one: vector k is ``name(k)``.
+    """
+    n = len(vectors)
+    padded = vectors + [session.model.mu] * (n % 2)
     try:
-        x = np.array(vectors, dtype=np.float64)
+        x = np.array(padded, dtype=np.float64)
     except (ValueError, TypeError):
-        return None
-    if x.shape != (len(vectors), session.model.d) or not np.isfinite(x).all():
-        return None
+        x = None
+    if x is None or x.shape != (len(padded), session.model.d) or not np.isfinite(x).all():
+        x = np.array([_checked_vector(session, m, name(k)) for k, m in enumerate(vectors)]
+                     + padded[n:])
     return x
 
 
 def _one_trial(session: ScoringSession, m_enroll, m_test) -> np.ndarray:
     """Whitened rows of one raw trial, as a block of one row."""
-    x = _stacked(session, [m_enroll, m_test])
-    if x is None:
-        x = np.array([
-            _checked_vector(session, m_enroll, "enroll vector"),
-            _checked_vector(session, m_test, "test vector"),
-        ])
+    x = _checked_stack(session, [m_enroll, m_test], ("enroll vector", "test vector").__getitem__)
     pair = _whiten(session, x)[0].T
     return _trial_rows(session, pair[:1], pair[1:], np.empty((1, pair.shape[1])))
 
@@ -538,52 +539,52 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
 _SIDES = ("enroll", "test")
 
 
-def _checked_ids(session: ScoringSession, tables: tuple, chunk: list, new: tuple) -> np.ndarray:
-    """The raw vectors of the ids ``new`` (enroll ids, test ids) that a
-    block of trials ``chunk`` uses and that are not checked yet, as the
-    rows of one matrix: enroll ids, then test ids, then, for an odd
-    count, the mean, which centers to a zero pad.
+def _positions(trials) -> tuple:
+    """Each trial's enroll and test positions, from one pass over
+    ``trials``, and the ids by position.
 
-    Raises for the first bad id in trial order, the enroll id of a trial
-    before its test id.
+    Returns an (n, 2) intp array, the list of ids and the count of
+    enroll ids. Positions number each side's ids in the order of their
+    first use, enroll ids first, so a test id's position is offset by
+    the count of enroll ids.
     """
-    vectors = [table.get(i, _UNKNOWN) for table, ids in zip(tables, new) for i in ids]
-    vectors += [session.model.mu] * (len(vectors) % 2)
-    x = _stacked(session, vectors)
-    if x is None:
-        checked = {}
-        for trial in chunk:
-            for key in enumerate(trial):
-                side, i = key
-                if i in new[side] and key not in checked:
-                    name = f"{_SIDES[side]} id {i!r}"
-                    checked[key] = _checked_vector(session, tables[side].get(i, _UNKNOWN), name)
-        x = np.array(
-            [checked[side, i] for side, ids in enumerate(new) for i in ids] + vectors[len(checked):]
-        )
-    return x
+    index = ({}, {})
+
+    def walk():
+        enroll, test = index
+        for e, t in trials:
+            yield enroll.setdefault(e, len(enroll))
+            yield test.setdefault(t, len(test))
+
+    pos = np.fromiter(walk(), np.intp).reshape(-1, 2)
+    pos[:, 1] += len(index[0])
+    return pos, [*index[0], *index[1]], len(index[0])
 
 
 def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
-    """Score a list of (enroll_id, test_id) pairs against embedding tables.
+    """Score (enroll_id, test_id) pairs against embedding tables.
 
+    ``trials`` is read once and not kept: each pair becomes the positions
+    of its two ids (``_positions``), and everything after reads those.
     Trials are scored in blocks whose trial rows take at most
-    ``BLOCK_BYTES``. The ids of a block that no earlier block left
-    whitened are checked as one matrix, then projected and whitened two
-    at a time by the pair products that ``llr`` uses (``_pair_product``),
-    so no Cholesky runs here and an id's rows have the same bits whatever
+    ``BLOCK_BYTES``. The ids of a block that hold no rows are checked as
+    one matrix, in trial order, then projected and whitened two at a
+    time by the pair products that ``llr`` uses (``_pair_product``), so
+    no Cholesky runs here and an id's rows have the same bits whatever
     id shares its product. An id's rows are kept for a later block only
     if the id is used there, and only while the rows kept take at most
-    ``ROW_CACHE_BYTES``; they are dropped after the block of the id's
+    ``ROW_CACHE_BYTES``; they are released after the block of the id's
     last use. Rows over the bound are whitened again when needed, which
-    changes no bit. The output order matches the input order, and every
-    score is bitwise equal to ``llr`` on the pair, for any number of
-    conditions: no sum runs in a different order for one trial than for
-    a block (see ``_q_block`` and ``_score_block``).
+    changes no bit. The row store holds the rows that may be kept plus
+    those of one block's new ids, at most all ids, and one pad row. The
+    output order matches the input order, and every score is bitwise
+    equal to ``llr`` on the pair, for any number of conditions: no sum
+    runs in a different order for one trial than for a block (see
+    ``_q_block`` and ``_score_block``).
 
     Args:
       enroll / test: mappings from id to raw embedding vector.
-      trials: sequence of (enroll_id, test_id) pairs.
+      trials: iterable of (enroll_id, test_id) pairs.
 
     Raises (for the first bad id in trial order, enroll id first):
       UnknownId: a trial references an id absent from its table.
@@ -592,63 +593,68 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
       NonFinite: a referenced embedding holds a NaN or an infinity, or a
         trial's score is NaN (overflow); the message names the ids.
     """
-    trials = [(e, t) for e, t in trials]
-    n = len(trials)
+    pos, ids, n_enroll = _positions(trials)
+    n = len(pos)
     out = np.empty(n)
-    if not trials:
+    if not n:
         return out
     tables = (enroll, test)
-    ids = tuple(zip(*trials))  # every trial's enroll ids, then its test ids
-    last = tuple(dict(zip(side_ids, range(n))) for side_ids in ids)
     row_bytes = 8 * session.rows.shape[0]
     block = max(1, BLOCK_BYTES // max(1, row_bytes))
+    # each position's first and last block
+    trial_block = np.arange(n)[:, None]
+    trial_block //= block
+    first = np.full(len(ids), n)
+    np.minimum.at(first, pos, trial_block)
+    last = np.zeros(len(ids), np.intp)
+    np.maximum.at(last, pos, trial_block)
+    del trial_block
     # Rows are kept only for ids used in more than one block, and within
-    # the bound. A block whitens at most 2 * block ids, and the last row
-    # of ``store`` takes the pad of an odd count.
-    reused = 0
-    for side_ids, last_use in zip(ids, last):
-        first_use = dict(zip(side_ids[::-1], range(n - 1, -1, -1)))
-        count = len(last_use)
-        last_block = np.fromiter(last_use.values(), np.intp, count) // block
-        first_block = np.fromiter(map(first_use.__getitem__, last_use), np.intp, count) // block
-        reused += int(np.count_nonzero(first_block != last_block))
-    kept_max = min(reused, ROW_CACHE_BYTES // max(1, row_bytes))
-    size = min(2 * block, len(last[0]) + len(last[1])) + 1 + kept_max
+    # the bound; the last row of ``store`` takes the pad of an odd count.
+    kept_max = min(int(np.count_nonzero(first != last)), ROW_CACHE_BYTES // max(1, row_bytes))
+    size = min(kept_max + 2 * block, len(ids)) + 1
     store = np.empty((size, session.rows.shape[0]))
     free = list(range(size - 1))
-    slots = ({}, {})  # per side, each id's row in store
+    slot = np.full(len(ids), -1)  # each position's row in store, or -1
+    # the positions last used in block b are done[ends[b] : ends[b + 1]]
+    done = np.argsort(last, kind="stable")
+    ends = np.concatenate(([0], np.cumsum(np.bincount(last))))
+
+    def name(q):
+        return f"{_SIDES[q >= n_enroll]} id {ids[q]!r}"
+
+    def release(held):
+        free.extend(slot[held].tolist())
+        slot[held] = -1
+
     with np.errstate(all="ignore"):
-        for a in range(0, n, block):
-            end = min(n, a + block)
-            block_ids = [dict.fromkeys(side_ids[a:end]) for side_ids in ids]
-            new = tuple(
-                dict.fromkeys(i for i in side_ids if i not in slot)
-                for side_ids, slot in zip(block_ids, slots)
-            )
-            n_new = len(new[0]) + len(new[1])
-            if n_new:
-                x = _checked_ids(session, tables, trials[a:end], new)
-                taken = [free.pop() for _ in range(n_new)]
-                slots[0].update(zip(new[0], taken))
-                slots[1].update(zip(new[1], taken[len(new[0]) :]))
-                pairs = np.reshape(taken + [size - 1] * (n_new % 2), (-1, 2))
+        for b, a in enumerate(range(0, n, block)):
+            here = pos[a : a + block]
+            new = here.reshape(-1)  # trial order, enroll id first
+            new = new[slot[new] < 0]
+            if new.size:
+                new = new[np.sort(np.unique(new, return_index=True)[1])]
+                qs = new.tolist()
+                vectors = [tables[q >= n_enroll].get(ids[q], _UNKNOWN) for q in qs]
+                x = _checked_stack(session, vectors, lambda k: name(qs[k]))
+                taken = free[len(free) - len(qs) :]
+                del free[len(free) - len(qs) :]
+                slot[new] = taken
+                pairs = np.reshape(taken + [size - 1] * (len(qs) % 2), (-1, 2))
                 store[pairs] = _whiten(session, x).transpose(0, 2, 1)
-            rows = store[list(map(slots[0].__getitem__, ids[0][a:end]))]
-            other = store[list(map(slots[1].__getitem__, ids[1][a:end]))]
-            out[a:end] = _score_block(session, _trial_rows(session, rows, other, out=rows))
-            for side_ids, slot, last_use in zip(block_ids, slots, last):
-                for i in side_ids:
-                    if last_use[i] < end:
-                        free.append(slot.pop(i))
+            rows = store[slot[here[:, 0]]]
+            other = store[slot[here[:, 1]]]
+            out[a : a + block] = _score_block(session, _trial_rows(session, rows, other, out=rows))
+            # rows of ids last used here go; those over the bound went already
+            gone = done[ends[b] : ends[b + 1]]
+            release(gone[slot[gone] >= 0])
             # new ids used again stay only while the kept rows fit the bound
-            over = len(slots[0]) + len(slots[1]) - kept_max
+            over = size - 1 - len(free) - kept_max
             if over > 0:
-                kept = [(slot, i) for side_ids, slot in zip(new, slots) for i in side_ids if i in slot]
-                for slot, i in kept[:over]:
-                    free.append(slot.pop(i))
+                release(new[slot[new] >= 0][:over])
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
-        eid, tid = trials[nan[0]]
+        eid, tid = (ids[q] for q in pos[nan[0]].tolist())
         raise NonFinite(
             f"the score of trial ({eid!r}, {tid!r}) is NaN: its whitened projections overflowed"
         )

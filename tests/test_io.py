@@ -269,6 +269,23 @@ def test_trials_reject_empty_id(tmp_path, line):
         io.load_trials(path)
 
 
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (io.load_trials, "spk-01\tspk-02\nspk-02\tspk-01\nspk-01\tspk-03\n"),
+        (io.load_scores, "spk-01\tspk-02\t1\nspk-02\tspk-01\t2\nspk-01\tspk-03\t3\n"),
+    ],
+    ids=["trials", "scores"],
+)
+def test_readers_intern_repeated_ids(tmp_path, loader, text):
+    # one str object per distinct id, across rows and across columns
+    path = tmp_path / "table.tsv"
+    path.write_text(text)
+    rows = loader(path)
+    assert rows[1][1] is rows[0][0] and rows[2][0] is rows[0][0]
+    assert rows[1][0] is rows[0][1]
+
+
 def test_priors_round_trip(tmp_path):
     path = tmp_path / "priors.cfg"
     priors = PriorConfig((0.25, 1.0), (0.7, 0.0))

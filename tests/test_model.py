@@ -68,6 +68,11 @@ def test_validate_rejects_row_mismatch():
 
 def test_validate_rejects_indefinite_precision(tmp_path):
     assert_rejected(tmp_path, NotPositiveDefinite, D=np.diag([1.0, -1.0, 1.0]))
+    # the leading 2x2 block is positive definite, the 3x3 determinant
+    # negative: the factorization fails at the last pivot
+    d = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    assert np.linalg.det(d[:2, :2]) > 0 > np.linalg.det(d)
+    assert_rejected(tmp_path, NotPositiveDefinite, D=d)
 
 
 def test_validate_rejects_indefinite_precision_symmetric_within_tolerance(tmp_path):

@@ -952,6 +952,35 @@ def test_score_trials_keeps_no_rows_past_their_block_when_each_id_is_used_once(
     assert peak < all_rows / 10, (peak, all_rows)
 
 
+def test_score_trials_keeps_no_objects_per_trial(rng, monkeypatch):
+    # 20k trials over 20 ids, at 32 trials per block: what grows with the
+    # trials is each trial's two positions (16 bytes), its score (8) and
+    # its block while first and last blocks are found (8). A copy of the
+    # pairs and tuples of their ids took 147 bytes per trial.
+    model = random_model(rng, 6, 2, (1, 2))
+    session = precompute_session(model, random_priors(rng, 2))
+    set_trials_per_block(monkeypatch, session, 32)
+    table = {f"id{i}": rng.standard_normal(6) for i in range(20)}
+    ids = list(table)
+    n = 20000
+    trials = [(ids[i], ids[j]) for i, j in rng.integers(20, size=(n, 2)).tolist()]
+    tracemalloc.start()
+    try:
+        score_trials(session, table, table, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * n, peak / n
+
+
+def test_score_trials_takes_any_iterable(rng, monkeypatch):
+    session, table, trials = repeated_ids_setup(rng)
+    set_trials_per_block(monkeypatch, session, 3)
+    listed = score_trials(session, table, table, trials)
+    generated = score_trials(session, table, table, (pair for pair in trials))
+    assert generated.tobytes() == listed.tobytes()
+
+
 IDS = st.sampled_from([f"x{i}" for i in range(6)])
 
 
