@@ -67,7 +67,9 @@ def _cmd_score(args) -> int:
         test = enroll
     else:
         test = io.load_embeddings(args.test)
-    trials = [(e, t) for e, t, _ in io.load_trials(args.trials)]
+    trials = io.load_trials(args.trials)
+    for i, (e, t, _) in enumerate(trials):  # in place: one list of trials at a time
+        trials[i] = (e, t)
     session = scoring.precompute_session(model, priors)
     scores = scoring.score_trials(session, enroll, test, trials)
     io.save_scores(args.out, trials, scores)

@@ -49,12 +49,14 @@ with v = s for K1 nodes and v = delta for K2 nodes. Whitening is
 linear, so each id is whitened on its own: its projection p = W^T D m
 and its rows W_all p against all the stacked node rows,
 3 * sum_k 2^k R_k rows of R_z columns, are each one product with a pair
-of columns, two ids at a time. A trial then gathers its two ids' rows,
-adds them on the K1 rows (s) and subtracts them on the K2 rows (delta);
-the squares, the node norms, the path sums and each branch's
+of columns, two ids at a time. A test-side id's K2 rows are negated, so
+a trial's rows are the sum of its two ids' rows: s on the K1 rows and
+delta on the K2 rows, since a - b is a + (-b) in IEEE arithmetic, bit for
+bit. The squares, the node norms, the path sums and each branch's
 log-sum-exp are vectorized over a block of trials. ``score_trials``
-whitens each id once per block that uses it, and keeps its rows for the
-later blocks that use it again, within a byte bound. ``llr`` and
+whitens every id before scoring when its row store holds them all, and
+otherwise each id once per block that uses it, keeping its rows for the
+later blocks that use it again within a byte bound. ``llr`` and
 ``q_term`` take raw vectors, check them like ``score_trials`` does, put
 their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
@@ -85,14 +87,14 @@ __all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trial
 # terms of two consecutive tree levels, that a session build may hold.
 MAX_WHITENING_BYTES = 1 << 30
 
-# Bound on the trial rows of one block of trials in ``score_trials``. On
-# the per-id path, 512 KiB blocks score the N = 4 matrix workload in
-# 188 ms against 212 ms at 256 KiB and 247 ms at 128 KiB (in-process,
-# medians of 7 interleaved runs), but the benchmark's peak RSS grows by
-# 0.6 MB there and by 1.9 MB on the d = 512, N = 6 workload (73.0 ->
-# 74.9 MB), whose 100 trials took 28.1 and 26.8 ms; the N = 2 file
-# workload moves by 6 % or less from 256 KiB to 2 MiB (2-vCPU guest,
-# 1 BLAS thread).
+# Bound on the trial rows of one block of trials in ``score_trials``, and
+# on the ids of one whitening call there. With a trial's rows built by one
+# add, 512 KiB blocks score the N = 4 matrix workload in 112.6 ms against
+# 114.5 ms at 256 KiB and 137.6 ms at 128 KiB (in-process, medians of 9
+# interleaved runs), but a whole `jplda score` there peaks 0.7 MB higher
+# (65.7 against 65.0 MB maximum RSS); the 100 trials of the d = 512,
+# N = 6 workload take 31.3, 32.2 and 37.3 ms, and the N = 2 file workload
+# moves by 3 % or less (2-vCPU guest, 1 BLAS thread).
 BLOCK_BYTES = 1 << 18
 
 # Bound on the rows of the matrix in one product of ``_pair_product``. A
@@ -144,8 +146,9 @@ class ScoringSession:
     Scoring applies ``projection`` and then ``rows`` to two vectors at a
     time, each as one product with a pair of columns (``_pair_product``):
     an id's whitened rows W_all p do not depend on the vector it shares
-    the product with, so ``score_trials`` whitens each id once and keeps
-    the rows of ids used again, and ``llr`` gives the same bits.
+    the product with, so ``score_trials`` may whiten ids in any groups
+    (all ids up front when they fit its row store, else block by block,
+    keeping the rows of ids used again), and ``llr`` gives the same bits.
 
     A session is checked once, when it is built, also by
     ``dataclasses.replace``: its arrays become read-only, and a branch
@@ -397,16 +400,6 @@ def _whiten(session: ScoringSession, x: np.ndarray) -> np.ndarray:
     return _pair_product(session.rows, _project(session, x))
 
 
-def _trial_rows(session: ScoringSession, rows_e, rows_t, out) -> np.ndarray:
-    """Trials' whitened rows from their ids' rows (one row per trial):
-    the sum on the K1 rows, the first two thirds, and the difference on
-    the K2 rows."""
-    n_sum = session.rows.shape[0] // 3 * 2
-    np.add(rows_e[:, :n_sum], rows_t[:, :n_sum], out=out[:, :n_sum])
-    np.subtract(rows_e[:, n_sum:], rows_t[:, n_sum:], out=out[:, n_sum:])
-    return out
-
-
 def _q_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
     """Every hypothesis' Q for the trials whose whitened rows are the rows
     of ``rows`` (overwritten), shape (n, 2, 2^N): [trial, branch,
@@ -488,8 +481,10 @@ def _checked_stack(session: ScoringSession, vectors: list, name) -> np.ndarray:
 def _one_trial(session: ScoringSession, m_enroll, m_test) -> np.ndarray:
     """Whitened rows of one raw trial, as a block of one row."""
     x = _checked_stack(session, [m_enroll, m_test], ("enroll vector", "test vector").__getitem__)
-    pair = _whiten(session, x)[0].T
-    return _trial_rows(session, pair[:1], pair[1:], np.empty((1, pair.shape[1])))
+    pair = _whiten(session, x)[0]
+    test_k2 = pair[session.rows.shape[0] // 3 * 2 :, 1]
+    np.negative(test_k2, out=test_k2)
+    return (pair[:, 0] + pair[:, 1])[None]
 
 
 def llr(session: ScoringSession, m_enroll, m_test) -> float:
@@ -556,7 +551,9 @@ def _positions(trials) -> tuple:
             yield enroll.setdefault(e, len(enroll))
             yield test.setdefault(t, len(test))
 
-    pos = np.fromiter(walk(), np.intp).reshape(-1, 2)
+    # with a count, the array does not grow by reallocation
+    count = 2 * len(trials) if hasattr(trials, "__len__") else -1
+    pos = np.fromiter(walk(), np.intp, count).reshape(-1, 2)
     pos[:, 1] += len(index[0])
     return pos, [*index[0], *index[1]], len(index[0])
 
@@ -567,20 +564,22 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     ``trials`` is read once and not kept: each pair becomes the positions
     of its two ids (``_positions``), and everything after reads those.
     Trials are scored in blocks whose trial rows take at most
-    ``BLOCK_BYTES``. The ids of a block that hold no rows are checked as
-    one matrix, in trial order, then projected and whitened two at a
-    time by the pair products that ``llr`` uses (``_pair_product``), so
-    no Cholesky runs here and an id's rows have the same bits whatever
-    id shares its product. An id's rows are kept for a later block only
-    if the id is used there, and only while the rows kept take at most
-    ``ROW_CACHE_BYTES``; they are released after the block of the id's
-    last use. Rows over the bound are whitened again when needed, which
-    changes no bit. The row store holds the rows that may be kept plus
-    those of one block's new ids, at most all ids, and one pad row. The
-    output order matches the input order, and every score is bitwise
-    equal to ``llr`` on the pair, for any number of conditions: no sum
-    runs in a different order for one trial than for a block (see
-    ``_q_block`` and ``_score_block``).
+    ``BLOCK_BYTES``. Ids are checked as one matrix per whitening call, in
+    order of first use, then projected and whitened two at a time by the
+    pair products that ``llr`` uses (``_pair_product``), so no Cholesky
+    runs here and an id's rows have the same bits whatever id shares its
+    product. A test id's K2 rows are stored negated, so a trial's rows
+    are one add of its ids' rows. The row store holds the rows that may
+    be kept plus those of one block's new ids, at most all ids, and one
+    pad row. When it holds every id, all ids are whitened before the
+    first block, at most twice a block's trials per call. Else a block's
+    ids that hold no rows are whitened with it, and an id's rows are kept
+    for a later block that uses it only while the rows kept take at most
+    ``ROW_CACHE_BYTES``; rows over the bound are whitened again, which
+    changes no bit. The output order matches the input order, and every
+    score is bitwise equal to ``llr`` on the pair, for any number of
+    conditions: no sum runs in a different order for one trial than for
+    a block (see ``_q_block`` and ``_score_block``).
 
     Args:
       enroll / test: mappings from id to raw embedding vector.
@@ -595,63 +594,82 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     """
     pos, ids, n_enroll = _positions(trials)
     n = len(pos)
-    out = np.empty(n)
     if not n:
-        return out
+        return np.empty(0)
     tables = (enroll, test)
+    n_sum = session.rows.shape[0] // 3 * 2
     row_bytes = 8 * session.rows.shape[0]
     block = max(1, BLOCK_BYTES // max(1, row_bytes))
-    # each position's first and last block
-    trial_block = np.arange(n)[:, None]
-    trial_block //= block
+    # each position's first trial and last block
+    trial = np.arange(n)[:, None]
     first = np.full(len(ids), n)
-    np.minimum.at(first, pos, trial_block)
+    np.minimum.at(first, pos, trial)
+    trial //= block
     last = np.zeros(len(ids), np.intp)
-    np.maximum.at(last, pos, trial_block)
-    del trial_block
+    np.maximum.at(last, pos, trial)
+    del trial
+    out = np.empty(n)  # made once the indices are gone: one per-trial array beside pos
     # Rows are kept only for ids used in more than one block, and within
     # the bound; the last row of ``store`` takes the pad of an odd count.
-    kept_max = min(int(np.count_nonzero(first != last)), ROW_CACHE_BYTES // max(1, row_bytes))
+    kept_max = min(int(np.count_nonzero(first // block != last)),
+                   ROW_CACHE_BYTES // max(1, row_bytes))
     size = min(kept_max + 2 * block, len(ids)) + 1
     store = np.empty((size, session.rows.shape[0]))
     free = list(range(size - 1))
     slot = np.full(len(ids), -1)  # each position's row in store, or -1
-    # the positions last used in block b are done[ends[b] : ends[b + 1]]
-    done = np.argsort(last, kind="stable")
-    ends = np.concatenate(([0], np.cumsum(np.bincount(last))))
 
-    def name(q):
-        return f"{_SIDES[q >= n_enroll]} id {ids[q]!r}"
+    def whiten(new):
+        # check the positions ``new`` in their order, give them rows in
+        # store and whiten them; a test id's K2 rows are stored negated
+        qs = new.tolist()
+        vectors = [tables[q >= n_enroll].get(ids[q], _UNKNOWN) for q in qs]
+        x = _checked_stack(session, vectors,
+                           lambda k: f"{_SIDES[qs[k] >= n_enroll]} id {ids[qs[k]]!r}")
+        taken = free[len(free) - len(qs) :]
+        del free[len(free) - len(qs) :]
+        slot[new] = taken
+        pairs = np.reshape(taken + [size - 1] * (len(qs) % 2), (-1, 2))
+        store[pairs] = _whiten(session, x).transpose(0, 2, 1)
+        store[slot[new[new >= n_enroll]], n_sum:] *= -1.0
+
+    def score(a, here):
+        # s on the K1 rows and delta on the K2 rows: one add
+        rows = store[slot[here[:, 0]]]
+        rows += store[slot[here[:, 1]]]
+        out[a : a + block] = _score_block(session, rows)
 
     def release(held):
         free.extend(slot[held].tolist())
         slot[held] = -1
 
     with np.errstate(all="ignore"):
-        for b, a in enumerate(range(0, n, block)):
-            here = pos[a : a + block]
-            new = here.reshape(-1)  # trial order, enroll id first
-            new = new[slot[new] < 0]
-            if new.size:
-                new = new[np.sort(np.unique(new, return_index=True)[1])]
-                qs = new.tolist()
-                vectors = [tables[q >= n_enroll].get(ids[q], _UNKNOWN) for q in qs]
-                x = _checked_stack(session, vectors, lambda k: name(qs[k]))
-                taken = free[len(free) - len(qs) :]
-                del free[len(free) - len(qs) :]
-                slot[new] = taken
-                pairs = np.reshape(taken + [size - 1] * (len(qs) % 2), (-1, 2))
-                store[pairs] = _whiten(session, x).transpose(0, 2, 1)
-            rows = store[slot[here[:, 0]]]
-            other = store[slot[here[:, 1]]]
-            out[a : a + block] = _score_block(session, _trial_rows(session, rows, other, out=rows))
-            # rows of ids last used here go; those over the bound went already
-            gone = done[ends[b] : ends[b + 1]]
-            release(gone[slot[gone] >= 0])
-            # new ids used again stay only while the kept rows fit the bound
-            over = size - 1 - len(free) - kept_max
-            if over > 0:
-                release(new[slot[new] >= 0][:over])
+        if size - 1 == len(ids):
+            # every id has a row: whiten them all first, in order of first
+            # use, enroll id first, at most a block's ids per call
+            order = np.argsort(2 * first + (np.arange(len(ids)) >= n_enroll))
+            for i in range(0, len(ids), 2 * block):
+                whiten(order[i : i + 2 * block])
+            for a in range(0, n, block):
+                score(a, pos[a : a + block])
+        else:
+            # the positions last used in block b are done[ends[b] : ends[b + 1]]
+            done = np.argsort(last, kind="stable")
+            ends = np.concatenate(([0], np.cumsum(np.bincount(last))))
+            for b, a in enumerate(range(0, n, block)):
+                here = pos[a : a + block]
+                new = here.reshape(-1)  # trial order, enroll id first
+                new = new[slot[new] < 0]
+                if new.size:
+                    new = new[np.sort(np.unique(new, return_index=True)[1])]
+                    whiten(new)
+                score(a, here)
+                # rows of ids last used here go; those over the bound went already
+                gone = done[ends[b] : ends[b + 1]]
+                release(gone[slot[gone] >= 0])
+                # new ids used again stay only while the kept rows fit the bound
+                over = size - 1 - len(free) - kept_max
+                if over > 0:
+                    release(new[slot[new] >= 0][:over])
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
         eid, tid = (ids[q] for q in pos[nan[0]].tolist())

@@ -47,3 +47,18 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(scoring, "_factorize_level", spy)
     return calls
+
+
+@pytest.fixture
+def whitenings(monkeypatch):
+    """List of the vector count of every ``scoring._whiten`` call, pads
+    included."""
+    counts = []
+    real = scoring._whiten
+
+    def spy(session, x):
+        counts.append(x.shape[0])
+        return real(session, x)
+
+    monkeypatch.setattr(scoring, "_whiten", spy)
+    return counts

@@ -901,34 +901,51 @@ def repeated_ids_setup(rng, n_trials=60):
     return session, table, trials
 
 
-def count_whitened(monkeypatch):
-    """List of the vector counts of every ``_whiten`` call (pads included)."""
-    counts = []
-    real = scoring._whiten
-
-    def spy(session, x):
-        counts.append(x.shape[0])
-        return real(session, x)
-
-    monkeypatch.setattr(scoring, "_whiten", spy)
-    return counts
-
-
 @pytest.mark.parametrize("kept_rows", [0, 4])
-def test_score_trials_recomputed_rows_give_the_same_bits(rng, monkeypatch, kept_rows):
+def test_score_trials_recomputed_rows_give_the_same_bits(rng, monkeypatch, whitenings, kept_rows):
     # under a row-cache bound of 0 or 4 rows, ids used again are whitened
-    # again, and every score keeps its bits
+    # again block by block, and every score keeps its bits
     session, table, trials = repeated_ids_setup(rng)
     set_trials_per_block(monkeypatch, session, 3)
-    counts = count_whitened(monkeypatch)
     cached = score_trials(session, table, table, trials)
     distinct = len({e for e, _ in trials}) + len({t for _, t in trials})
-    assert sum(counts) <= distinct + len(counts)  # each (side, id) once, plus pads
-    counts.clear()
+    assert sum(whitenings) <= distinct + len(whitenings)  # each (side, id) once, plus pads
+    whitenings.clear()
     monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", kept_rows * session.rows[0].nbytes)
     recomputed = score_trials(session, table, table, trials)
-    assert sum(counts) > distinct + len(counts)
+    assert sum(whitenings) > distinct + len(whitenings)
     assert recomputed.tobytes() == cached.tobytes()
+
+
+def test_score_trials_whitens_ids_that_all_fit_in_few_calls(rng, monkeypatch, whitenings):
+    # a full 8 x 8 matrix at 3 trials per block: the store holds all 16
+    # ids, so they are whitened before scoring, at most 6 (one block's
+    # ids) per call, instead of block by block as they first appear
+    model = random_model(rng, 5, 2, (1, 2))
+    session = precompute_session(model, random_priors(rng, 2))
+    set_trials_per_block(monkeypatch, session, 3)
+    enroll = {f"e{i}": rng.standard_normal(5) for i in range(8)}
+    test = {f"t{i}": rng.standard_normal(5) for i in range(8)}
+    trials = [(e, t) for e in enroll for t in test]
+    got = score_trials(session, enroll, test, trials)
+    calls = math.ceil(16 / 6)
+    assert len(whitenings) <= calls and sum(whitenings) <= 16 + calls, whitenings
+    loop = np.array([llr(session, enroll[e], test[t]) for e, t in trials])
+    assert got.tobytes() == loop.tobytes()
+
+
+def test_score_trials_negated_test_rows_give_the_difference_bitwise(rng):
+    # a test id's K2 rows are stored negated, so that a trial's rows are
+    # one sum; x_e + (-x_t) has the bits of x_e - x_t
+    session, enroll, test, trials = batch_setup(rng, 40)
+    got = score_trials(session, enroll, test, trials)
+    n_sum = session.rows.shape[0] // 3 * 2
+    for k in (0, 17, 39):
+        e, t = trials[k]
+        x_e, x_t = scoring._whiten(session, np.array([enroll[e], test[t]]))[0].T
+        rows = np.concatenate([x_e[:n_sum] + x_t[:n_sum], x_e[n_sum:] - x_t[n_sum:]])
+        want = scoring._score_block(session, rows[None])[0]
+        assert got[k].tobytes() == want.tobytes(), k
 
 
 def test_score_trials_keeps_no_rows_past_their_block_when_each_id_is_used_once(
@@ -954,9 +971,12 @@ def test_score_trials_keeps_no_rows_past_their_block_when_each_id_is_used_once(
 
 def test_score_trials_keeps_no_objects_per_trial(rng, monkeypatch):
     # 20k trials over 20 ids, at 32 trials per block: what grows with the
-    # trials is each trial's two positions (16 bytes), its score (8) and
-    # its block while first and last blocks are found (8). A copy of the
-    # pairs and tuples of their ids took 147 bytes per trial.
+    # trials is each trial's two positions (16 bytes), then its index
+    # while first trials and last blocks are found (8) and its score
+    # after (8). The peak read 26.4 bytes per trial: 24 and about 48 KB
+    # that does not grow; the bound leaves 48 KB more. With the scores
+    # allocated beside the indices it read 32.4, and a copy of the pairs
+    # and tuples of their ids took 147 bytes per trial.
     model = random_model(rng, 6, 2, (1, 2))
     session = precompute_session(model, random_priors(rng, 2))
     set_trials_per_block(monkeypatch, session, 32)
@@ -970,7 +990,22 @@ def test_score_trials_keeps_no_objects_per_trial(rng, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * n, peak / n
+    assert peak < 24 * n + 96 * 1024, peak / n
+
+
+def test_positions_are_read_into_one_allocation(rng):
+    # given the length of the list, the position array is allocated once
+    # (16 bytes per trial); grown as it is read, it peaked at 22-24
+    n = 20000
+    ids = [f"id{i}" for i in range(20)]
+    trials = [(ids[i], ids[j]) for i, j in rng.integers(20, size=(n, 2)).tolist()]
+    tracemalloc.start()
+    try:
+        scoring._positions(trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * n, peak / n
 
 
 def test_score_trials_takes_any_iterable(rng, monkeypatch):
