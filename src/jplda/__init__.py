@@ -15,8 +15,9 @@ Typical use::
 
 The package exports what the CLI, the demos and the acceptance tests
 use: the model and prior types, the scoring path (``precompute_session``,
-``llr``, ``score_trials`` and ``q_term``, which all take raw vectors),
-file I/O, synthetic data, detection metrics and the slow covariance
+``llr``, ``score_trials`` and ``q_term``, which all take raw vectors;
+``score_trials`` also takes ``ProjectedTable``s, the tables that
+``jplda score`` keeps as R_z projections per id), file I/O, synthetic data, detection metrics and the slow covariance
 oracle. A ``ModelParams`` checks itself when it is built, so none of
 these checks a model again.
 """
@@ -49,7 +50,14 @@ from .hypothesis import (
 )
 from .metrics import ScoredTrials, calibration_identity, eer
 from .model import ModelParams, collapse_to_plda, stack_w
-from .scoring import ScoringSession, llr, precompute_session, q_term, score_trials
+from .scoring import (
+    ProjectedTable,
+    ScoringSession,
+    llr,
+    precompute_session,
+    q_term,
+    score_trials,
+)
 from .synth import (
     SyntheticDataset,
     make_benchmark,
@@ -76,6 +84,7 @@ __all__ = [
     "NotSymmetric",
     "OrphanLatent",
     "PriorConfig",
+    "ProjectedTable",
     "ScoredTrials",
     "ScoringSession",
     "SessionTooLarge",

@@ -60,17 +60,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_score(args) -> int:
+    """Score a trial list. The session is built first, so that each table
+    is kept as its projections (``scoring.ProjectedTable``), R_z floats
+    per id, as it is parsed: a session error is reported before any
+    table error."""
     model = io.load_model(args.model)
     priors = io.load_priors(args.priors)
-    enroll = io.load_embeddings(args.enroll)
+    session = scoring.precompute_session(model, priors)
+    enroll = io.load_embeddings(args.enroll, into=lambda: scoring.ProjectedTable(session))
     if os.path.realpath(args.test) == os.path.realpath(args.enroll):
         test = enroll
     else:
-        test = io.load_embeddings(args.test)
+        test = io.load_embeddings(args.test, into=lambda: scoring.ProjectedTable(session))
     trials = io.load_trials(args.trials)
     for i, (e, t, _) in enumerate(trials):  # in place: one list of trials at a time
         trials[i] = (e, t)
-    session = scoring.precompute_session(model, priors)
     scores = scoring.score_trials(session, enroll, test, trials)
     io.save_scores(args.out, trials, scores)
     return 0

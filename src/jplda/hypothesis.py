@@ -63,9 +63,9 @@ class PriorConfig:
         return len(self.p_same_given_ss)
 
     @classmethod
-    def uniform(cls, n_conditions: int, p: float = 0.5) -> "PriorConfig":
-        """Same probability for every condition in both speaker branches."""
-        return cls((p,) * n_conditions, (p,) * n_conditions)
+    def uniform(cls, n_conditions: int) -> "PriorConfig":
+        """Probability 0.5 for every condition in both speaker branches."""
+        return cls((0.5,) * n_conditions, (0.5,) * n_conditions)
 
 
 def enumerate_condition_hypotheses(n_conditions: int) -> list:

@@ -167,8 +167,9 @@ def save_embeddings(path, embeddings) -> None:
             f.write(f"{name}\t{row}\n" if row else f"{name}\n")
 
 
-def load_embeddings(path) -> dict:
-    """Read an embedding table into an ordered id -> vector mapping.
+def load_embeddings(path, into=None):
+    """Read an embedding table into an ordered id -> vector mapping, or
+    into a table that ``into`` makes.
 
     Values are parsed by ``np.loadtxt`` in blocks of ``_BLOCK_ROWS`` rows,
     and each vector is a row view of its block. The result is bitwise the
@@ -178,20 +179,42 @@ def load_embeddings(path) -> dict:
     repeated, the file is read again row by row, which raises the
     line-numbered ``MalformedFile`` or returns what ``float()`` makes of
     values numpy rejects (``1_0``, non-ASCII digits).
+
+    With ``into``, a callable that makes an empty table, no vector is
+    kept here: each block goes to the table's ``add(names, values)`` as
+    soon as it is parsed, ``values`` being a (rows, width) float64 matrix
+    that ``add`` may overwrite, and the table is returned. The row reader
+    starts again with a new table, in blocks of the same size. A
+    ``scoring.ProjectedTable`` keeps R_z floats per id this way, not d.
     """
-    out = _embeddings_by_block(path)
-    return _embeddings_by_row(path) if out is None else out
+    new = _Vectors if into is None else into
+    table = _embeddings_by_block(path, new())
+    if table is None:
+        table = _embeddings_by_row(path, new())
+    return dict(table) if into is None else table
 
 
-def _embeddings_by_block(path):
-    """The table parsed by numpy, or None where the row reader must decide."""
-    names, blocks = [], []
+class _Vectors(dict):
+    """The id -> vector table: each vector is a row view of its block."""
+
+    def add(self, names, values):
+        self.update(zip(names, values))
+
+
+def _embeddings_by_block(path, table=None):
+    """``table`` (by default a new id -> vector mapping) with the table
+    parsed by numpy added, or None where the row reader must decide."""
+    table = _Vectors() if table is None else table
+    rows, width = 0, None
     with open(path, "r", encoding="utf-8") as f:
-        rows = (line.rstrip("\n").partition("\t") for line in f if line != "\n")
-        while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
+        lines = (line.rstrip("\n").partition("\t") for line in f if line != "\n")
+        while chunk := list(itertools.islice(lines, _BLOCK_ROWS)):
+            names = [name for name, _, _ in chunk]
             texts = [text for _, _, text in chunk]
             # numpy skips an empty line, and warns when a block is all empty
-            if not all(texts) or any(c in t for t in texts for c in _NUMPY_ONLY_SPACE):
+            if not (all(names) and all(texts)) or any(
+                c in t for t in texts for c in _NUMPY_ONLY_SPACE
+            ):
                 return None
             try:
                 block = np.loadtxt(
@@ -200,38 +223,48 @@ def _embeddings_by_block(path):
                 )
             except ValueError:
                 return None
-            if len(block) != len(texts) or (blocks and block.shape[1] != blocks[0].shape[1]):
+            if len(block) != len(texts) or width not in (None, block.shape[1]):
                 return None
-            names.extend(name for name, _, _ in chunk)
-            blocks.append(block)
-    out = dict(zip(names, itertools.chain.from_iterable(blocks)))
-    if len(out) != len(names) or "" in out:
-        return None
-    return out
+            width = block.shape[1]
+            table.add(names, block)
+            rows += len(block)
+    # fewer ids than rows: an id is repeated
+    return table if len(table) == rows else None
 
 
-def _embeddings_by_row(path) -> dict:
-    """The row reader: float() per value, MalformedFile naming the line."""
-    out = {}
+def _embeddings_by_row(path, table=None):
+    """The row reader: float() per value, MalformedFile naming the line.
+    Adds the rows to ``table`` (by default a new id -> vector mapping) in
+    blocks of ``_BLOCK_ROWS``, and returns it."""
+    table = _Vectors() if table is None else table
+    seen = set()
+    names, block = [], []
     width = None
     for lineno, fields in _tsv_rows(path):
         name = fields[0]
         if not name:
             raise MalformedFile(f"{path}:{lineno}: empty id")
-        if name in out:
+        if name in seen:
             raise MalformedFile(f"{path}:{lineno}: duplicate id {name!r}")
         try:
-            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+            vec = [float(x) for x in fields[1:]]
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: bad float ({exc})") from exc
         if width is None:
-            width = vec.size
-        elif vec.size != width:
+            width = len(vec)
+        elif len(vec) != width:
             raise MalformedFile(
-                f"{path}:{lineno}: row has {vec.size} values, expected {width}"
+                f"{path}:{lineno}: row has {len(vec)} values, expected {width}"
             )
-        out[name] = vec
-    return out
+        seen.add(name)
+        names.append(name)
+        block.append(vec)
+        if len(block) == _BLOCK_ROWS:
+            table.add(names, np.array(block, dtype=np.float64))
+            names, block = [], []
+    if block:
+        table.add(names, np.array(block, dtype=np.float64))
+    return table
 
 
 def save_trials(path, trials, labels=None) -> None:

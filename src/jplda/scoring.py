@@ -60,7 +60,9 @@ later blocks that use it again within a byte bound. ``llr`` and
 ``q_term`` take raw vectors, check them like ``score_trials`` does, put
 their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
-``score_trials``. A session checks itself once, when it is built: its
+``score_trials``. ``score_trials`` takes raw tables, or
+``ProjectedTable``s, which keep each id's projection p (R_z floats) in
+place of its raw vector (d floats) and give it the same bits. A session checks itself once, when it is built: its
 arrays are read-only and each branch has a hypothesis of nonzero prior,
 so scoring checks neither.
 """
@@ -81,7 +83,9 @@ from .hypothesis import (
 )
 from .model import ModelParams, stack_w
 
-__all__ = ["ScoringSession", "precompute_session", "q_term", "llr", "score_trials"]
+__all__ = [
+    "ScoringSession", "ProjectedTable", "precompute_session", "q_term", "llr", "score_trials",
+]
 
 # Largest whitening rows, 24 * R_z * sum_k 2^k R_k bytes, plus the cross
 # terms of two consecutive tree levels, that a session build may hold.
@@ -394,10 +398,11 @@ def _project(session: ScoringSession, x: np.ndarray) -> np.ndarray:
     return _pair_product(session.projection, x.reshape(-1, 2, x.shape[1]).transpose(0, 2, 1))
 
 
-def _whiten(session: ScoringSession, x: np.ndarray) -> np.ndarray:
-    """Whitened rows W p of the raw vectors in ``x``, paired as by
-    ``_project``: shape (P, R, 2), where [j, :, c] is vector 2j + c."""
-    return _pair_product(session.rows, _project(session, x))
+def _whiten(session: ScoringSession, pairs: np.ndarray) -> np.ndarray:
+    """Whitened rows W p of the projections paired as ``_project`` pairs
+    them, in a C-contiguous (P, R_z, 2) array: shape (P, R, 2), where
+    [j, :, c] is vector 2j + c. A strided ``pairs`` would give other bits."""
+    return _pair_product(session.rows, pairs)
 
 
 def _q_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
@@ -444,17 +449,22 @@ def _score_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
 _UNKNOWN = object()
 
 
+def _check(session: ScoringSession, what: str, shape: tuple, finite) -> None:
+    """Raise the error for a vector of ``shape`` that is ``finite`` or not."""
+    if shape != (session.model.d,):
+        raise DimensionMismatch(
+            f"{what} has shape {shape}, expected a vector of length {session.model.d}"
+        )
+    if not finite:
+        raise NonFinite(f"{what} contains non-finite values")
+
+
 def _checked_vector(session: ScoringSession, m, what: str) -> np.ndarray:
     """One raw vector as a float64 array, or the error that names it."""
     if m is _UNKNOWN:
         raise UnknownId(f"unknown {what}")
     m = np.asarray(m, dtype=np.float64)
-    if m.shape != (session.model.d,):
-        raise DimensionMismatch(
-            f"{what} has shape {m.shape}, expected a vector of length {session.model.d}"
-        )
-    if not np.isfinite(m).all():
-        raise NonFinite(f"{what} contains non-finite values")
+    _check(session, what, m.shape, np.isfinite(m).all())
     return m
 
 
@@ -481,7 +491,7 @@ def _checked_stack(session: ScoringSession, vectors: list, name) -> np.ndarray:
 def _one_trial(session: ScoringSession, m_enroll, m_test) -> np.ndarray:
     """Whitened rows of one raw trial, as a block of one row."""
     x = _checked_stack(session, [m_enroll, m_test], ("enroll vector", "test vector").__getitem__)
-    pair = _whiten(session, x)[0]
+    pair = _whiten(session, _project(session, x))[0]
     test_k2 = pair[session.rows.shape[0] // 3 * 2 :, 1]
     np.negative(test_k2, out=test_k2)
     return (pair[:, 0] + pair[:, 1])[None]
@@ -534,6 +544,110 @@ def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> 
 _SIDES = ("enroll", "test")
 
 
+def _what(side: bool, name) -> str:
+    """How errors name the id ``name`` of a trial's enroll or test side."""
+    return f"{_SIDES[side]} id {name!r}"
+
+
+class ProjectedTable:
+    """An embedding table kept as the projections p = W^T D (m - mu) of
+    its raw vectors m under one session: R_z floats per id where the raw
+    table holds d (90 against 200 on the N = 2 and N = 4 benchmark
+    models, 160 against 512 at d = 512). A trial depends on an embedding
+    only through p, so ``score_trials`` gives these tables the scores of
+    the raw ones, bit for bit.
+
+    ``add`` takes one block of rows at a time, as
+    ``io.load_embeddings(path, into=...)`` parses them, and projects it
+    as ``score_trials`` projects raw vectors (``_project``), so no raw
+    vector outlives its block. The blocks are kept as they come: one
+    matrix would need the row count before the parse. The table also
+    keeps each id's row, whether its raw vector was finite, and its
+    width (a table of the wrong width is not projected), so an id that a
+    trial uses raises what the raw table would raise, and an id no trial
+    uses is never checked.
+    """
+
+    def __init__(self, session: ScoringSession):
+        self.session = session
+        self.width = None
+        self._index = {}  # id -> row
+        self._finite = bytearray()  # per row: 1 where the raw vector was finite
+        self._starts = []  # the first row of each block
+        self._blocks = []  # each block's projections; None at the wrong width
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def add(self, names: list, values: np.ndarray) -> None:
+        """Project the next rows: ids ``names``, raw vectors the rows of
+        the (n, width) float64 matrix ``values``, which this overwrites."""
+        n, self.width = values.shape
+        start = len(self._finite)
+        self._index.update(zip(names, range(start, start + n)))
+        finite = np.isfinite(values).all(axis=1)
+        self._finite += finite.tobytes()
+        proj = None
+        if self.width == self.session.model.d:
+            mu = self.session.model.mu
+            values[~finite] = mu  # no NaN or infinity enters a product
+            x = np.concatenate([values, mu[None]]) if n % 2 else values
+            with np.errstate(all="ignore"):
+                proj = _project(self.session, x).transpose(0, 2, 1)
+            proj = proj.reshape(len(x), self.session.model.r_z)[:n]
+        self._starts.append(start)
+        self._blocks.append(proj)
+
+    def _rows(self, names: list):
+        """The projections of the ids ``names``, as a list of rows, or
+        None where an id is unknown, its raw vector was not finite, or the
+        table's width is wrong."""
+        rows = np.fromiter((self._index.get(name, -1) for name in names), np.intp, len(names))
+        if (self.width != self.session.model.d or rows.min() < 0
+                or not np.frombuffer(self._finite, dtype=bool)[rows].all()):
+            return None
+        starts = np.array(self._starts)
+        blocks = np.searchsorted(starts, rows, side="right") - 1
+        rows -= starts[blocks]
+        return [self._blocks[b][r] for b, r in zip(blocks.tolist(), rows.tolist())]
+
+    def _check_id(self, name, side: bool) -> None:
+        """Raise the error that ``score_trials`` raises for the raw vector
+        of id ``name`` on ``side``, if there is one."""
+        row = self._index.get(name)
+        if row is None:
+            raise UnknownId(f"unknown {_what(side, name)}")
+        _check(self.session, _what(side, name), (self.width,), self._finite[row])
+
+
+def _raw_pairs(session: ScoringSession, tables: tuple, names: list, sides: list) -> np.ndarray:
+    """Projections of the raw vectors ``tables[sides[k]][names[k]]``,
+    checked in order and paired as by ``_project``, a zero pad last."""
+    vectors = [tables[s].get(name, _UNKNOWN) for name, s in zip(names, sides)]
+    x = _checked_stack(session, vectors, lambda k: _what(sides[k], names[k]))
+    return _project(session, x)
+
+
+def _projected_pairs(session: ScoringSession, tables: tuple, names: list,
+                     sides: list) -> np.ndarray:
+    """As ``_raw_pairs``, for ``ProjectedTable``s: their rows, gathered
+    into a C-contiguous array. Only when a table cannot give its rows is
+    each id checked on its own, in order, so that the error names the
+    first bad one."""
+    rows = [None] * len(names)
+    for side, table in enumerate(tables):
+        at = [k for k, s in enumerate(sides) if s == side]
+        got = table._rows([names[k] for k in at]) if at else []
+        if got is None:
+            for name, s in zip(names, sides):
+                tables[s]._check_id(name, s)
+        for k, row in zip(at, got):
+            rows[k] = row
+    rows += [np.zeros(session.model.r_z)] * (len(rows) % 2)
+    x = np.array(rows).reshape(len(rows) // 2, 2, session.model.r_z)
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
+
+
 def _positions(trials) -> tuple:
     """Each trial's enroll and test positions, from one pass over
     ``trials``, and the ids by position.
@@ -564,39 +678,49 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     ``trials`` is read once and not kept: each pair becomes the positions
     of its two ids (``_positions``), and everything after reads those.
     Trials are scored in blocks whose trial rows take at most
-    ``BLOCK_BYTES``. Ids are checked as one matrix per whitening call, in
-    order of first use, then projected and whitened two at a time by the
-    pair products that ``llr`` uses (``_pair_product``), so no Cholesky
-    runs here and an id's rows have the same bits whatever id shares its
-    product. A test id's K2 rows are stored negated, so a trial's rows
-    are one add of its ids' rows. The row store holds the rows that may
-    be kept plus those of one block's new ids, at most all ids, and one
-    pad row. When it holds every id, all ids are whitened before the
-    first block, at most twice a block's trials per call. Else a block's
-    ids that hold no rows are whitened with it, and an id's rows are kept
-    for a later block that uses it only while the rows kept take at most
-    ``ROW_CACHE_BYTES``; rows over the bound are whitened again, which
-    changes no bit. The output order matches the input order, and every
+    ``BLOCK_BYTES``. A whitening call asks the tables for the checked
+    projections of its ids, in order of first use: raw vectors are
+    checked as one matrix and projected, a ``ProjectedTable`` gives the
+    projections it made when it was read, which have the same bits. The
+    ids are then whitened two at a time by the pair products that ``llr``
+    uses (``_pair_product``), so no Cholesky runs here and an id's rows
+    have the same bits whatever id shares its product. A test id's K2
+    rows are stored negated, so a trial's rows are one add of its ids'
+    rows. The row store holds the rows that may be kept plus those of one
+    block's new ids, at most all ids, and one pad row. When it holds
+    every id, all ids are whitened before the first block, at most twice
+    a block's trials per call. Else a block's ids that hold no rows are
+    whitened with it, and an id's rows are kept for a later block that
+    uses it only while the rows kept take at most ``ROW_CACHE_BYTES``;
+    rows over the bound are whitened again, which changes no bit. The output order matches the input order, and every
     score is bitwise equal to ``llr`` on the pair, for any number of
     conditions: no sum runs in a different order for one trial than for
     a block (see ``_q_block`` and ``_score_block``).
 
     Args:
-      enroll / test: mappings from id to raw embedding vector.
+      enroll / test: both mappings from id to raw embedding vector, or
+        both ``ProjectedTable``s read with this session.
       trials: iterable of (enroll_id, test_id) pairs.
 
-    Raises (for the first bad id in trial order, enroll id first):
+    Raises (for the first bad id in trial order, enroll id first; the
+    same for a raw table and its ``ProjectedTable``):
       UnknownId: a trial references an id absent from its table.
       DimensionMismatch: a referenced embedding is not a vector of
         length d; the message names the id.
       NonFinite: a referenced embedding holds a NaN or an infinity, or a
         trial's score is NaN (overflow); the message names the ids.
     """
+    tables = (enroll, test)
+    projected = isinstance(enroll, ProjectedTable)
+    if isinstance(test, ProjectedTable) != projected:
+        raise TypeError("enroll and test must both be mappings or both ProjectedTables")
+    if projected and (enroll.session is not session or test.session is not session):
+        raise ValueError("a ProjectedTable must be read with the session that scores it")
+    pairs_of = _projected_pairs if projected else _raw_pairs
     pos, ids, n_enroll = _positions(trials)
     n = len(pos)
     if not n:
         return np.empty(0)
-    tables = (enroll, test)
     n_sum = session.rows.shape[0] // 3 * 2
     row_bytes = 8 * session.rows.shape[0]
     block = max(1, BLOCK_BYTES // max(1, row_bytes))
@@ -622,14 +746,13 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
         # check the positions ``new`` in their order, give them rows in
         # store and whiten them; a test id's K2 rows are stored negated
         qs = new.tolist()
-        vectors = [tables[q >= n_enroll].get(ids[q], _UNKNOWN) for q in qs]
-        x = _checked_stack(session, vectors,
-                           lambda k: f"{_SIDES[qs[k] >= n_enroll]} id {ids[qs[k]]!r}")
+        projections = pairs_of(session, tables, [ids[q] for q in qs],
+                               (new >= n_enroll).tolist())
         taken = free[len(free) - len(qs) :]
         del free[len(free) - len(qs) :]
         slot[new] = taken
         pairs = np.reshape(taken + [size - 1] * (len(qs) % 2), (-1, 2))
-        store[pairs] = _whiten(session, x).transpose(0, 2, 1)
+        store[pairs] = _whiten(session, projections).transpose(0, 2, 1)
         store[slot[new[new >= n_enroll]], n_sum:] *= -1.0
 
     def score(a, here):

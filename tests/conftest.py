@@ -56,9 +56,9 @@ def whitenings(monkeypatch):
     counts = []
     real = scoring._whiten
 
-    def spy(session, x):
-        counts.append(x.shape[0])
-        return real(session, x)
+    def spy(session, pairs):
+        counts.append(2 * pairs.shape[0])
+        return real(session, pairs)
 
     monkeypatch.setattr(scoring, "_whiten", spy)
     return counts

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from jplda import PriorConfig, io, make_benchmark
+from jplda import PriorConfig, io, make_benchmark, scoring
 from jplda.cli import main
 
-from conftest import random_model
+from conftest import random_model, random_priors
 
 
 @pytest.fixture
@@ -95,9 +97,9 @@ def test_score_parses_a_shared_table_once(pipeline, tmp_path, monkeypatch):
     loaded = []
     real = cli.io.load_embeddings
 
-    def counting(path):
+    def counting(path, **kwargs):
         loaded.append(path)
-        return real(path)
+        return real(path, **kwargs)
 
     monkeypatch.setattr(cli.io, "load_embeddings", counting)
     assert run_score(pipeline) == 0
@@ -151,6 +153,158 @@ def test_score_trial_with_empty_id_exits_1(pipeline, tmp_path, capsys):
     (tmp_path / "empty.tsv").write_text(f"{eid}\t\ttarget\n")
     assert run_score(dict(pipeline, trials=tmp_path / "empty.tsv")) == 1
     assert "empty.tsv:1: empty id" in capsys.readouterr().err
+
+
+# Tiny copies of the benchmark's workload shapes: (d, R_y, R_x, full noise
+# precision, separate enroll and test tables).
+SHAPES = {
+    "file-10k": (16, 4, (2, 2), False, False),
+    "matrix-N4": (16, 4, (2, 2, 2, 2), False, True),
+    "setup-N6-fullD": (24, 4, (1,) * 6, True, False),
+}
+
+
+@pytest.fixture(params=[None, 0], ids=["rows-kept", "rows-not-kept"])
+def shaped(request, rng, tmp_path, monkeypatch):
+    """Model, priors, tables and trials of each workload shape, written
+    to disk. Tables are parsed in blocks of 3 rows and trials scored one
+    per block; under a row cache bound of 0, ids are whitened block by
+    block."""
+    def make(shape):
+        d, r_y, r_x, full_d, separate = SHAPES[shape]
+        model = random_model(rng, d, r_y, r_x, diagonal_noise=not full_d)
+        priors = random_priors(rng, len(r_x))
+        draw = lambda prefix, n: {f"{prefix}{i}": model.mu + 3.0 * rng.standard_normal(d)
+                                  for i in range(n)}
+        if separate:
+            enroll, test = draw("e", 5), draw("t", 5)
+            trials = [(e, t) for e in enroll for t in test]
+        else:
+            enroll = test = draw("x", 11)
+            ids = list(enroll)
+            trials = [(ids[i], ids[j]) for i, j in rng.integers(len(ids), size=(14, 2)).tolist()]
+        paths = {name: tmp_path / f"{shape}.{name}" for name in
+                 ("model", "priors", "enroll", "test", "trials", "scores")}
+        io.save_model(model, paths["model"])
+        io.save_priors(paths["priors"], priors)
+        io.save_embeddings(paths["enroll"], enroll)
+        if separate:
+            io.save_embeddings(paths["test"], test)
+        else:
+            paths["test"] = paths["enroll"]
+        io.save_trials(paths["trials"], trials)
+        session = scoring.precompute_session(model, priors)
+        return session, enroll, test, trials, paths
+
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
+    if request.param is not None:
+        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", request.param)
+    monkeypatch.setattr(scoring, "BLOCK_BYTES", 1)  # one trial per block
+    return make
+
+
+def cli_score(paths):
+    return main([
+        "score",
+        "--model", str(paths["model"]),
+        "--enroll", str(paths["enroll"]),
+        "--test", str(paths["test"]),
+        "--trials", str(paths["trials"]),
+        "--priors", str(paths["priors"]),
+        "--out", str(paths["scores"]),
+    ])
+
+
+def both_paths(session, paths, trials):
+    """score_trials on the tables read as raw mappings and as projected
+    tables: the scores' bytes, or the error's type and message."""
+    out = []
+    for into in (None, lambda: scoring.ProjectedTable(session)):
+        enroll = io.load_embeddings(paths["enroll"], into=into)
+        test = io.load_embeddings(paths["test"], into=into)
+        try:
+            out.append(scoring.score_trials(session, enroll, test, trials).tobytes())
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("row_reader", [False, True], ids=["blocks", "row-reader"])
+def test_projected_score_writes_the_bytes_of_raw_tables(shaped, shape, row_reader, tmp_path):
+    # with row_reader, the enroll table's last value reads as 1_0 does:
+    # numpy rejects it after the earlier blocks were projected, and the
+    # row reader reads the whole file again into a new table
+    session, enroll, test, trials, paths = shaped(shape)
+    if row_reader:
+        lines = paths["enroll"].read_text().splitlines()
+        lines[-1] = re.sub(r"(\d)(\d)$", r"\1_\2", lines[-1])
+        paths["enroll"].write_text("\n".join(lines) + "\n")
+    assert cli_score(paths) == 0
+    raw = tmp_path / "raw.tsv"
+    io.save_scores(raw, trials, scoring.score_trials(session, enroll, test, trials))
+    assert paths["scores"].read_bytes() == raw.read_bytes()
+    raw, projected = both_paths(session, paths, trials)
+    assert raw == projected
+
+
+def first_bad(trials, bad):
+    """How errors name the first id in trial order, enroll id first, for
+    which ``bad(side, id)`` holds."""
+    for e, t in trials:
+        for side, name in (("enroll", e), ("test", t)):
+            if bad(side, name):
+                return f"{side} id {name!r}"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fault", ["unknown", "wide", "nan", "1e200"])
+def test_projected_tables_raise_the_errors_of_raw_tables(shaped, shape, fault, capsys):
+    # two faults in different trials and on different sides; the
+    # error names the one used first
+    session, enroll, test, trials, paths = shaped(shape)
+    shared = enroll is test  # then a bad row is bad on both sides
+    (_, t_first), (e_later, _) = trials[1], trials[-1]
+    if fault == "unknown":
+        trials[1], trials[-1] = (trials[1][0], "nobody"), ("ghost", trials[-1][1])
+        io.save_trials(paths["trials"], trials)
+        what = first_bad(trials, lambda side, name: name in ("nobody", "ghost"))
+        expected = f"unknown {what}"
+    elif fault == "wide":
+        io.save_embeddings(paths["test"], {k: np.append(v, 0.0) for k, v in test.items()})
+        trials[-1] = ("ghost", trials[-1][1])
+        io.save_trials(paths["trials"], trials)
+        what = first_bad(trials, lambda side, name: side == "test" or shared)
+        expected = f"{what} has shape"
+    else:
+        test[t_first] = np.full_like(test[t_first], np.nan if fault == "nan" else 1e200)
+        enroll[e_later] = np.full_like(enroll[e_later], test[t_first][0])
+        io.save_embeddings(paths["test"], test)
+        io.save_embeddings(paths["enroll"], enroll)
+        bad = {("test", t_first), ("enroll", e_later)}
+        what = first_bad(trials, lambda side, name: (side, name) in bad
+                         or shared and name in (t_first, e_later))
+        expected = f"{what} contains non-finite values" if fault == "nan" else "is NaN"
+    raw, projected = both_paths(session, paths, trials)
+    assert raw == projected and isinstance(raw, tuple)
+    kind, message = raw
+    assert expected in message, message
+    assert kind.__name__ == {"unknown": "UnknownId", "wide": "DimensionMismatch"}.get(
+        fault, "NonFinite")
+    assert cli_score(paths) == 1
+    assert capsys.readouterr().err == f"jplda score: {message}\n"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_projected_table_ignores_a_nan_row_no_trial_uses(shaped, shape):
+    session, enroll, test, trials, paths = shaped(shape)
+    used = {t for _, t in trials}
+    test["unused"] = np.full_like(next(iter(test.values())), np.nan)
+    io.save_embeddings(paths["test"], test)
+    assert "unused" not in used
+    raw, projected = both_paths(session, paths, trials)
+    assert isinstance(raw, bytes) and raw == projected
+    assert cli_score(paths) == 0
 
 
 def test_synth_deterministic_and_reloadable(pipeline, tmp_path, capsys):

@@ -180,16 +180,27 @@ def _outcome(load, path):
     return [(name, vec.dtype, vec.shape, vec.tobytes()) for name, vec in table.items()]
 
 
+class _Blocks(dict):
+    """A table for ``load_embeddings(into=...)``: the rows of the blocks
+    it was given, which must not exceed ``_BLOCK_ROWS``."""
+
+    def add(self, names, values):
+        assert len(names) == len(values) <= io._BLOCK_ROWS
+        self.update(zip(names, values))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(embedding_tables(), st.sampled_from([1, 2, 3, io._BLOCK_ROWS]))
 def test_block_parse_matches_row_reader(text, block_rows):
+    # also when the blocks go to a table that ``into`` makes
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.tsv")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
             got = _outcome(io.load_embeddings, path)
-        assert got == _outcome(io._embeddings_by_row, path)
+            into = _outcome(lambda p: io.load_embeddings(p, into=_Blocks), path)
+        assert got == into == _outcome(io._embeddings_by_row, path)
 
 
 def _table_lines(n_rows, width):

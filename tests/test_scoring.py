@@ -23,6 +23,7 @@ from jplda import (
     collapse_to_plda,
     enumerate_condition_hypotheses,
     hypothesis_log_prior,
+    io,
     llr,
     precompute_session,
     q_term,
@@ -868,7 +869,7 @@ def test_pair_products_give_each_column_its_own_bits():
     def columns(stack):
         x = np.array(stack)
         proj = scoring._project(session, x.copy())
-        rows = scoring._whiten(session, x.copy())
+        rows = scoring._whiten(session, scoring._project(session, x.copy()))
         return (proj.transpose(0, 2, 1).reshape(len(stack), -1),
                 rows.transpose(0, 2, 1).reshape(len(stack), -1))
 
@@ -942,7 +943,8 @@ def test_score_trials_negated_test_rows_give_the_difference_bitwise(rng):
     n_sum = session.rows.shape[0] // 3 * 2
     for k in (0, 17, 39):
         e, t = trials[k]
-        x_e, x_t = scoring._whiten(session, np.array([enroll[e], test[t]]))[0].T
+        pair = scoring._project(session, np.array([enroll[e], test[t]]))
+        x_e, x_t = scoring._whiten(session, pair)[0].T
         rows = np.concatenate([x_e[:n_sum] + x_t[:n_sum], x_e[n_sum:] - x_t[n_sum:]])
         want = scoring._score_block(session, rows[None])[0]
         assert got[k].tobytes() == want.tobytes(), k
@@ -991,6 +993,39 @@ def test_score_trials_keeps_no_objects_per_trial(rng, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * n + 96 * 1024, peak / n
+
+
+def test_projected_table_keeps_no_raw_vectors(rng, tmp_path):
+    # 3000 ids of d = 256 read into a ProjectedTable of R_z = 16: the peak
+    # read 0.255 of the raw table's 6.1 MB, R_z / d = 0.0625 of it for
+    # the projections, about 0.06 for the id index and 0.13 for the text
+    # and the numpy buffers of one parse block. The headroom is 0.25;
+    # read as a mapping of raw vectors the table peaked at 1.19.
+    model = random_model(rng, 256, 8, (4, 4), diagonal_noise=True)
+    session = precompute_session(model, random_priors(rng, 2))
+    n = 3000
+    path = tmp_path / "emb.tsv"
+    io.save_embeddings(path, {f"id{i:06d}": v for i, v in enumerate(rng.standard_normal((n, 256)))})
+    tracemalloc.start()
+    try:
+        table = io.load_embeddings(path, into=lambda: scoring.ProjectedTable(session))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    raw = 8 * n * model.d
+    assert peak < (model.r_z / model.d + 0.25) * raw, peak / raw
+
+
+def test_projected_tables_come_in_pairs_from_the_scoring_session(rng, tmp_path):
+    session, enroll, test, trials = batch_setup(rng, 6)
+    io.save_embeddings(tmp_path / "e.tsv", enroll)
+    projected = io.load_embeddings(tmp_path / "e.tsv", into=lambda: scoring.ProjectedTable(session))
+    with pytest.raises(TypeError, match="must both be mappings or both ProjectedTables"):
+        score_trials(session, projected, test, trials)
+    other = dataclasses.replace(session)
+    with pytest.raises(ValueError, match="the session that scores it"):
+        score_trials(other, projected, projected, [])
 
 
 def test_positions_are_read_into_one_allocation(rng):
