@@ -15,8 +15,6 @@ so a model that exists is valid.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmetric
 
@@ -27,6 +25,12 @@ _SYMMETRY_TOL = 1e-10
 # Rows per block of the symmetry check. At d=512 the blocked check took
 # 0.9 ms, against 1.9 ms for the whole D - D^T in one 2 MB temporary.
 _SYMMETRY_ROWS = 64
+# Largest d whose D is checked by numpy's Cholesky; above it, by scipy's
+# dpotrf. Loading scipy.linalg costs about 28 MB of RSS and 0.19 s once
+# per process. The check runs on every io.load_model: numpy's Cholesky
+# takes 0.25 against 0.17 ms for dpotrf at d=200, 0.70 against 0.29 ms
+# at d=256, and 6.8 against 2.1 ms at d=512 (medians of 61, 1 BLAS thread).
+_NUMPY_CHECK_MAX_D = 256
 
 
 def _frozen_array(a, ndim, what):
@@ -90,11 +94,7 @@ class ModelParams:
         scale = max(1.0, float(self.D.max()), -float(self.D.min())) if d else 1.0
         if d and _asymmetry(self.D) > _SYMMETRY_TOL * scale:
             raise NotSymmetric("D is not symmetric within tolerance")
-        # D^T is D's memory in Fortran order, so LAPACK reads it without
-        # a transpose; its lower factor reads D's upper triangle, the same
-        # test for a symmetric D. At d=512 it took 2.8 ms against 3.6 ms
-        # for the upper factor (medians of 41, 1 BLAS thread).
-        if d and dpotrf(self.D.T, lower=1, clean=0)[1] != 0:
+        if d and not _positive_definite(self.D):
             raise NotPositiveDefinite("D is not positive definite")
 
     # derived sizes -----------------------------------------------------
@@ -132,6 +132,23 @@ def _asymmetry(a: np.ndarray) -> float:
     return top
 
 
+def _positive_definite(a: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of the symmetric ``a`` succeeds:
+    numpy's up to d = ``_NUMPY_CHECK_MAX_D``, else LAPACK's dpotrf."""
+    if a.shape[0] <= _NUMPY_CHECK_MAX_D:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    from scipy.linalg.lapack import dpotrf
+
+    # a^T is a's memory in Fortran order: LAPACK reads it without a copy,
+    # and its lower factor is the upper one of a, 2.8 against 3.6 ms at
+    # d=512 (medians of 41, 1 BLAS thread)
+    return dpotrf(a.T, lower=1, clean=0)[1] == 0
+
+
 def stack_w(model: ModelParams) -> np.ndarray:
     """W = [V | U_1 | ... | U_N]: all loadings column-wise, in model order."""
     return np.concatenate((model.V,) + model.U, axis=1)
@@ -139,6 +156,8 @@ def stack_w(model: ModelParams) -> np.ndarray:
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
     """Invert an SPD matrix through its Cholesky factor; symmetrize the result."""
+    import scipy.linalg as sla
+
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
@@ -165,6 +184,6 @@ def collapse_to_plda(model: ModelParams) -> ModelParams:
         noise_cov = noise_cov + u @ u.T
     try:
         d_new = _spd_inverse(0.5 * (noise_cov + noise_cov.T))
-    except (sla.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotPositiveDefinite("collapsed noise covariance is not invertible") from exc
     return ModelParams(mu=model.mu, V=model.V, U=(), D=d_new)

@@ -72,15 +72,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
     UnknownId,
 )
-from .hypothesis import (
-    HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior,
-)
+from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
 from .model import ModelParams, stack_w
 
 __all__ = [
@@ -184,18 +181,14 @@ def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
     The blocks come per parent path: its two K1 children, tied then
     untied, then its K2 child. ``first[i]`` is the first hypothesis, in
     session order, whose path holds block i, so ``first`` never
-    decreases. Returns the inverse factors F^-1 (n x r x r) and the
-    first hypothesis whose path holds a block that is not numerically
-    positive definite, or None.
+    decreases. Returns the inverse factors F^-1 (n x r x r, from
+    ``_lower_inverse``) and the first hypothesis whose path holds a block
+    that is not numerically positive definite, or None.
 
     One stacked Cholesky factorizes the level. When it fails, each block
     is factorized on its own by the same call, to find the ones that
     fail; these, like the non-finite ones, are replaced by the identity,
-    so that the build can go on to the levels below. The triangular
-    inverses take one dtrtri each, in place: the stacked ways tried
-    (scipy's batched ``inv``, the lower left block F^-T of the Cholesky
-    of [[S, I], [I, cI]], doubling the diagonal blocks in numpy) were 1.5
-    to 3 times slower on the benchmark models' levels.
+    so that the build can go on to the levels below.
     """
     n, r, _ = blocks.shape
     failed = np.zeros(n, dtype=bool)
@@ -213,13 +206,60 @@ def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
             except np.linalg.LinAlgError:
                 failed[i] = True
         factors[failed] = np.eye(r)
-    # K >= I, so every Schur complement of K is >= I too and bounds
-    # |F^-1|_2 by 1: applying the explicit inverse is as stable as a
-    # triangular solve. F^T, read in Fortran order, is F's memory.
-    for factor in factors if r else ():
-        dtrtri(factor.T, lower=0, overwrite_c=1)
     failing = next((h for h, bad in zip(first, failed) if bad), None)
-    return factors, failing
+    return _lower_inverse(factors), failing
+
+
+def _lower_inverse(factors: np.ndarray) -> np.ndarray:
+    """Invert a C-contiguous stack of lower triangular factors F
+    (n x r x r) in place; the upper triangles stay exact zeros.
+
+    K >= I, so every Schur complement of K is >= I too and bounds
+    |F^-1|_2 by 1: applying the explicit inverse is as stable as a
+    triangular solve. The diagonal entries become 1 / F_ii, and then each
+    step joins neighbouring diagonal blocks whose inverses are known by
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [C^-1 (-B) A^-1, C^-1]]: every pair
+    of blocks of b rows, of every factor at once, and the last block of
+    b rows with the shorter block below it, if there is one. A step
+    writes only inside the blocks it joins, so each B still holds F's
+    entries when it is read. So a level takes about 2 log2(r) stacked
+    products.
+    """
+    n, r, _ = factors.shape
+    diagonal = factors.reshape(n, -1)[:, :: r + 1]
+    np.divide(1.0, diagonal, out=diagonal)
+    s0, s1, s2 = factors.strides
+    b = 1
+    while b < r:
+        pairs, rest = divmod(r, 2 * b)
+        if pairs:
+            # [factor, pair, block row, block column, row, column]
+            x = np.ndarray((n, pairs, 2, 2, b, b), buffer=factors,
+                           strides=(s0, 2 * b * (s1 + s2), b * s1, b * s2, s1, s2))
+            corner = x[:, :, 1, 0]
+            np.matmul(x[:, :, 1, 1], np.negative(corner) @ x[:, :, 0, 0], out=corner)
+        if rest > b:
+            i, j = r - rest, r - rest + b
+            corner = factors[:, j:, i:j]
+            np.matmul(factors[:, j:, j:], np.negative(corner) @ factors[:, i:j, i:j], out=corner)
+        b *= 2
+    return factors
+
+
+def _log_priors(priors: PriorConfig) -> np.ndarray:
+    """``hypothesis_log_prior`` of every hypothesis, in session order, bit
+    for bit: each condition's two logs are taken once (-inf for a zero
+    factor), and each hypothesis' terms are added one at a time from 0.0,
+    in condition order, by a sequential ``cumsum``."""
+    n = priors.n_conditions
+    logs = [[math.log(f) if f else -math.inf for p in branch for f in (p, 1.0 - p)]
+            for branch in (priors.p_same_given_ss, priors.p_same_given_ds)]
+    logs = np.array(logs).reshape(2, n, 2)
+    hyps = np.arange(2 ** (n + 1))[:, None]
+    terms = np.zeros((hyps.size, n + 1))
+    # bit j of a hypothesis' condition part is 1 where condition j is untied
+    terms[:, 1:] = logs[hyps >> n, np.arange(n), hyps >> np.arange(n - 1, -1, -1) & 1]
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSession:
@@ -360,7 +400,7 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         model=model,
         factorizations=tuple(hyps),
         half_log_det_sigma=half_log_det_sigma,
-        log_prior=np.array([hypothesis_log_prior(h, priors) for h in hyps]),
+        log_prior=_log_priors(priors),
         projection=projection,
         rows=rows,
         node_starts=node_starts,

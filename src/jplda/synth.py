@@ -9,7 +9,6 @@ rather than sharing one stream.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
@@ -46,11 +45,15 @@ class SyntheticDataset:
 def _noise_factor(model: ModelParams) -> np.ndarray:
     """What ``_noise`` draws with: the lower Cholesky factor L of D, for a
     diagonal D too. Each public function computes it once."""
+    import scipy.linalg as sla
+
     return sla.cholesky(model.D, lower=True)
 
 
 def _noise(factor: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n rows of N(0, D^-1) noise, given ``_noise_factor(model)``."""
+    import scipy.linalg as sla
+
     e = rng.standard_normal((n, factor.shape[0]))
     # eps = L^-T e  gives cov (L L^T)^-1 = D^-1
     return sla.solve_triangular(factor, e.T, lower=True, trans="T").T

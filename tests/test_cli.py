@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,32 @@ def run_score(paths, extra=()):
             *extra,
         ]
     )
+
+
+def test_score_loads_no_scipy_linalg(pipeline):
+    # numpy alone builds a session and scores a model with d <= 256;
+    # scipy.linalg (about 28 MB of RSS and a second BLAS) loads only for
+    # the check of a larger D
+    argv = ["score", "--model", str(pipeline["model"]), "--enroll", str(pipeline["emb"]),
+            "--test", str(pipeline["emb"]), "--trials", str(pipeline["trials"]),
+            "--priors", str(pipeline["priors"]), "--out", str(pipeline["scores"])]
+    script = f"""
+import sys
+import numpy as np
+import jplda
+assert "scipy.linalg" not in sys.modules, "import jplda"
+from jplda import cli
+assert cli.main({argv!r}) == 0
+assert "scipy.linalg" not in sys.modules, "jplda score"
+jplda.ModelParams(mu=np.zeros(257), V=np.zeros((257, 1)), U=(), D=np.eye(257))
+assert "scipy.linalg" in sys.modules, "the check of a d = 257 model"
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(io.load_scores(pipeline["scores"])) == 40
 
 
 def test_score_then_eval(pipeline, capsys):

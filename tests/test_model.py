@@ -75,6 +75,31 @@ def test_validate_rejects_indefinite_precision(tmp_path):
     assert_rejected(tmp_path, NotPositiveDefinite, D=d)
 
 
+@pytest.mark.parametrize("d", [256, 257], ids=["numpy-check", "lapack-check"])
+def test_positive_definite_check_agrees_across_the_size_split(d):
+    # numpy's Cholesky checks D up to d = 256 and scipy's dpotrf above
+    # it: a positive definite D passes on both sides, and an indefinite D
+    # and a singular positive semidefinite D raise the same error
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eig = rng.uniform(0.5, 2.0, d)
+
+    def spd(eig):
+        a = (q * eig) @ q.T
+        return 0.5 * (a + a.T)
+
+    def model(big_d):
+        return ModelParams(mu=np.zeros(d), V=np.zeros((d, 1)), U=(), D=big_d)
+
+    model(spd(eig))
+    singular = spd(eig)
+    singular[d // 2] = singular[:, d // 2] = 0.0  # a zero pivot, exactly
+    eig[d // 3] = -1.0
+    for big_d in (spd(eig), singular):
+        with pytest.raises(NotPositiveDefinite, match="^D is not positive definite$"):
+            model(big_d)
+
+
 def test_validate_rejects_indefinite_precision_symmetric_within_tolerance(tmp_path):
     # off by 1e-12 between the triangles, inside the 1e-10 tolerance; the
     # 2x2 block [[1, 2], [2, 1]] has eigenvalue -1

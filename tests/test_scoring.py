@@ -253,6 +253,22 @@ def test_session_log_prior_is_hypothesis_log_prior_bitwise(n_conditions):
     assert session.log_prior.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 8, 10, 13, 16, 17, 50, 100])
+def test_lower_inverse_is_triangular_with_exact_zeros(r):
+    # built in place by doubling: the upper triangle stays exactly zero,
+    # the diagonal is 1 / F_ii (the log-determinants read it), and
+    # F F^-1 = I to a few ulps per entry, as K >= I bounds |F^-1| by 1
+    rng = np.random.default_rng(r)
+    a = rng.standard_normal((5, r, r))
+    factors = np.linalg.cholesky(a @ a.swapaxes(1, 2) + np.eye(r))
+    inv = scoring._lower_inverse(factors.copy())
+    assert inv.shape == factors.shape and not np.triu(inv, 1).any()
+    np.testing.assert_array_equal(inv.diagonal(axis1=1, axis2=2),
+                                  1.0 / factors.diagonal(axis1=1, axis2=2))
+    residual = np.abs(factors @ inv - np.eye(r)).max(initial=0.0)
+    assert residual <= r * np.finfo(float).eps * np.abs(factors).max(initial=0.0)
+
+
 # information vector ------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jplda import (
     DimensionMismatch,
@@ -10,7 +11,6 @@ from jplda import (
     sample_trial_pair,
     sample_trial_pairs,
 )
-from jplda import synth
 from jplda.oracle import marginal_cov
 
 from conftest import random_model
@@ -137,13 +137,14 @@ def test_benchmark_rejects_priors_for_other_condition_count(rng):
 def test_benchmark_factorizes_noise_once(rng, monkeypatch, diagonal_noise):
     model = random_model(rng, 3, 1, (1, 1), diagonal_noise)
     calls = []
-    real = synth.sla.cholesky
+    real = scipy.linalg.cholesky
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(synth.sla, "cholesky", spy)
+    # synth imports scipy.linalg where it draws, so the spy sits on scipy's
+    monkeypatch.setattr(scipy.linalg, "cholesky", spy)
     make_benchmark(model, PriorConfig.uniform(2), 20, 20, seed=3)
     assert len(calls) == 1
 
