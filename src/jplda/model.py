@@ -25,12 +25,22 @@ _SYMMETRY_TOL = 1e-10
 # Rows per block of the symmetry check. At d=512 the blocked check took
 # 0.9 ms, against 1.9 ms for the whole D - D^T in one 2 MB temporary.
 _SYMMETRY_ROWS = 64
-# Largest d whose D is checked by numpy's Cholesky; above it, by scipy's
-# dpotrf. Loading scipy.linalg costs about 28 MB of RSS and 0.19 s once
-# per process. The check runs on every io.load_model: numpy's Cholesky
-# takes 0.25 against 0.17 ms for dpotrf at d=200, 0.70 against 0.29 ms
-# at d=256, and 6.8 against 2.1 ms at d=512 (medians of 61, 1 BLAS thread).
+# Largest d whose D is checked by one np.linalg.cholesky; above it, in
+# panels of _PANEL_ROWS columns (_positive_definite). Medians of 201 to
+# 301 calls interleaved in random order, 1 BLAS thread, two runs, one
+# Cholesky against the panels: 0.12 against 0.21 ms at d=160, 0.19
+# against 0.32 at d=200, 0.39 against 0.50 at 257, 0.70 against 0.78 at
+# 344, 1.1 against 1.1 at 408, 2.2 against 1.8 at 500. At multiples of
+# 32 the one Cholesky is slow: 0.25 against 0.25 ms at 192, 0.58 against
+# 0.44 at 256, 0.81 against 0.67 at 320, 1.4 against 1.0 at 384, 3.5
+# against 1.9 at 512 (LAPACK's dpotrf: 1.5). No d splits the two
+# cleanly. Below 256 the one call wins or ties at every size measured
+# but 248 (0.52 against 0.49 ms); above it the panels lose at most
+# 0.14 ms, at sizes up to 408 that are not multiples of 32, and win
+# 0.07 to 1.7 ms at the multiples and 0.02 to 0.4 ms from 440 on.
+# Panels of 32, 48, 96 and 128 columns were slower at d=384 and d=512.
 _NUMPY_CHECK_MAX_D = 256
+_PANEL_ROWS = 64
 
 
 def _frozen_array(a, ndim, what):
@@ -133,20 +143,82 @@ def _asymmetry(a: np.ndarray) -> float:
 
 
 def _positive_definite(a: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of the symmetric ``a`` succeeds:
-    numpy's up to d = ``_NUMPY_CHECK_MAX_D``, else LAPACK's dpotrf."""
-    if a.shape[0] <= _NUMPY_CHECK_MAX_D:
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-    from scipy.linalg.lapack import dpotrf
+    """Whether the Cholesky factorization of the symmetric ``a`` succeeds.
 
-    # a^T is a's memory in Fortran order: LAPACK reads it without a copy,
-    # and its lower factor is the upper one of a, 2.8 against 3.6 ms at
-    # d=512 (medians of 41, 1 BLAS thread)
-    return dpotrf(a.T, lower=1, clean=0)[1] == 0
+    Up to d = ``_NUMPY_CHECK_MAX_D`` it is one ``np.linalg.cholesky``.
+    Above it the lower factor L is built left-looking, ``_PANEL_ROWS``
+    columns i:j at a time (Golub & Van Loan, Matrix Computations, 4.2):
+    the panel's columns of ``a`` from row i on, less the products of the
+    earlier panels' rows, are [C; E]; C = F F^T is factorized, where a
+    LinAlgError means that ``a`` is not positive definite, and the rows
+    below are E F^-T. A panel keeps only those rows, and drops each
+    panel's first rows once no later panel reads them.
+
+    F^-1 is applied as an explicit inverse, not by a triangular solve.
+    While ``a`` is positive definite, every C is a principal block of a
+    Schur complement of ``a``, so its eigenvalues lie between ``a``'s and
+    cond(F) <= sqrt(cond(a)): the inverse's rounding matters only for an
+    ``a`` so near singular that LAPACK's answer, too, is decided by
+    rounding. On 400 random D (d = 300 and 512, one eigenvalue set to
+    +-1e-6 ... +-1e-14 of the largest) the answer was dpotrf's every
+    time, and a D whose first 64 rows and columns are scaled down to
+    1e-6, so that its leading block has condition 1e12, keeps its answer.
+    """
+    d = a.shape[0]
+    try:
+        if d <= _NUMPY_CHECK_MAX_D:
+            np.linalg.cholesky(a)
+            return True
+        below = []  # the rows of L from row i on, one block per earlier panel
+        for i in range(0, d, _PANEL_ROWS):
+            n = min(_PANEL_ROWS, d - i)
+            rest = a[i:, i:i + n].copy()
+            for rows in below:
+                rest -= rows @ rows[:n].T
+            factor = np.linalg.cholesky(rest[:n])
+            if i + n < d:  # no rows below the last panel
+                below = [rows[n:] for rows in below]
+                below.append(rest[n:] @ _lower_inverse(factor[None])[0].T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _lower_inverse(factors: np.ndarray) -> np.ndarray:
+    """Invert a C-contiguous stack of lower triangular factors F
+    (n x r x r) in place; the upper triangles stay exact zeros. The
+    scoring level build and the panels of ``_positive_definite`` use it.
+
+    In the level build K >= I, so every Schur complement of K is >= I too
+    and bounds |F^-1|_2 by 1: there, applying the explicit inverse is as
+    stable as a triangular solve. The diagonal entries become 1 / F_ii,
+    and then each step joins neighbouring diagonal blocks whose inverses
+    are known by [[A, 0], [B, C]]^-1 = [[A^-1, 0], [C^-1 (-B) A^-1, C^-1]]:
+    every pair of blocks of b rows, of every factor at once, and the last
+    block of b rows with the shorter block below it, if there is one. A
+    step writes only inside the blocks it joins, so each B still holds
+    F's entries when it is read. So a stack takes about 2 log2(r) stacked
+    products.
+    """
+    n, r, _ = factors.shape
+    diagonal = factors.reshape(n, -1)[:, :: r + 1]
+    np.divide(1.0, diagonal, out=diagonal)
+    s0, s1, s2 = factors.strides
+    b = 1
+    while b < r:
+        pairs, rest = divmod(r, 2 * b)
+        if pairs:
+            # [factor, pair, block row, block column, row, column]
+            x = np.ndarray((n, pairs, 2, 2, b, b), buffer=factors,
+                           strides=(s0, 2 * b * (s1 + s2), b * s1, b * s2, s1, s2))
+            corner = x[:, :, 1, 0]
+            np.matmul(x[:, :, 1, 1], np.negative(corner) @ x[:, :, 0, 0], out=corner)
+        if rest > b:
+            i, j = r - rest, r - rest + b
+            corner = factors[:, j:, i:j]
+            np.matmul(factors[:, j:, j:], np.negative(corner) @ factors[:, i:j, i:j], out=corner)
+        b *= 2
+    return factors
 
 
 def stack_w(model: ModelParams) -> np.ndarray:

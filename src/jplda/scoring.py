@@ -78,7 +78,7 @@ from .errors import (
     UnknownId,
 )
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
-from .model import ModelParams, stack_w
+from .model import ModelParams, _lower_inverse, stack_w
 
 __all__ = [
     "ScoringSession", "ProjectedTable", "precompute_session", "q_term", "llr", "score_trials",
@@ -208,42 +208,6 @@ def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
         factors[failed] = np.eye(r)
     failing = next((h for h, bad in zip(first, failed) if bad), None)
     return _lower_inverse(factors), failing
-
-
-def _lower_inverse(factors: np.ndarray) -> np.ndarray:
-    """Invert a C-contiguous stack of lower triangular factors F
-    (n x r x r) in place; the upper triangles stay exact zeros.
-
-    K >= I, so every Schur complement of K is >= I too and bounds
-    |F^-1|_2 by 1: applying the explicit inverse is as stable as a
-    triangular solve. The diagonal entries become 1 / F_ii, and then each
-    step joins neighbouring diagonal blocks whose inverses are known by
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [C^-1 (-B) A^-1, C^-1]]: every pair
-    of blocks of b rows, of every factor at once, and the last block of
-    b rows with the shorter block below it, if there is one. A step
-    writes only inside the blocks it joins, so each B still holds F's
-    entries when it is read. So a level takes about 2 log2(r) stacked
-    products.
-    """
-    n, r, _ = factors.shape
-    diagonal = factors.reshape(n, -1)[:, :: r + 1]
-    np.divide(1.0, diagonal, out=diagonal)
-    s0, s1, s2 = factors.strides
-    b = 1
-    while b < r:
-        pairs, rest = divmod(r, 2 * b)
-        if pairs:
-            # [factor, pair, block row, block column, row, column]
-            x = np.ndarray((n, pairs, 2, 2, b, b), buffer=factors,
-                           strides=(s0, 2 * b * (s1 + s2), b * s1, b * s2, s1, s2))
-            corner = x[:, :, 1, 0]
-            np.matmul(x[:, :, 1, 1], np.negative(corner) @ x[:, :, 0, 0], out=corner)
-        if rest > b:
-            i, j = r - rest, r - rest + b
-            corner = factors[:, j:, i:j]
-            np.matmul(factors[:, j:, j:], np.negative(corner) @ factors[:, i:j, i:j], out=corner)
-        b *= 2
-    return factors
 
 
 def _log_priors(priors: PriorConfig) -> np.ndarray:

@@ -6,6 +6,8 @@ documented per function; parallel generation must use distinct seeds
 rather than sharing one stream.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -51,9 +51,11 @@ def run_score(paths, extra=()):
 
 
 def test_score_loads_no_scipy_linalg(pipeline):
-    # numpy alone builds a session and scores a model with d <= 256;
-    # scipy.linalg (about 28 MB of RSS and a second BLAS) loads only for
-    # the check of a larger D
+    # numpy alone builds a session, scores, and checks D at every d, on
+    # both sides of the d = 256 split of the check: scipy.linalg (about
+    # 28 MB of RSS and a second BLAS) loads only for synth's noise draws
+    # and collapse_to_plda. numpy.random (with secrets, hashlib and
+    # OpenSSL) loads only when something is drawn.
     argv = ["score", "--model", str(pipeline["model"]), "--enroll", str(pipeline["emb"]),
             "--test", str(pipeline["emb"]), "--trials", str(pipeline["trials"]),
             "--priors", str(pipeline["priors"]), "--out", str(pipeline["scores"])]
@@ -61,12 +63,17 @@ def test_score_loads_no_scipy_linalg(pipeline):
 import sys
 import numpy as np
 import jplda
-assert "scipy.linalg" not in sys.modules, "import jplda"
+for name in ("scipy.linalg", "numpy.random"):
+    assert name not in sys.modules, f"{{name}} after import jplda"
 from jplda import cli
 assert cli.main({argv!r}) == 0
-assert "scipy.linalg" not in sys.modules, "jplda score"
-jplda.ModelParams(mu=np.zeros(257), V=np.zeros((257, 1)), U=(), D=np.eye(257))
-assert "scipy.linalg" in sys.modules, "the check of a d = 257 model"
+for name in ("scipy.linalg", "numpy.random"):
+    assert name not in sys.modules, f"{{name}} after jplda score"
+for d in (257, 512):
+    jplda.ModelParams(mu=np.zeros(d), V=np.zeros((d, 1)), U=(), D=np.eye(d))
+    assert "scipy.linalg" not in sys.modules, f"the check of a d = {{d}} model"
+jplda.synth.sample_dataset(jplda.io.load_model({str(pipeline["model"])!r}), 2, (2, 2), 1, seed=0)
+assert "numpy.random" in sys.modules, "synth.sample_dataset"
 """
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

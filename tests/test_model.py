@@ -16,6 +16,7 @@ from jplda import (
     io,
     stack_w,
 )
+from jplda.model import _lower_inverse
 
 from conftest import random_model
 
@@ -75,11 +76,22 @@ def test_validate_rejects_indefinite_precision(tmp_path):
     assert_rejected(tmp_path, NotPositiveDefinite, D=d)
 
 
-@pytest.mark.parametrize("d", [256, 257], ids=["numpy-check", "lapack-check"])
+@pytest.mark.parametrize("d", [256, 257, 300, 512],
+                         ids=["one-cholesky", "panels-257", "ragged-panels-300", "panels-512"])
 def test_positive_definite_check_agrees_across_the_size_split(d):
-    # numpy's Cholesky checks D up to d = 256 and scipy's dpotrf above
-    # it: a positive definite D passes on both sides, and an indefinite D
-    # and a singular positive semidefinite D raise the same error
+    # one np.linalg.cholesky checks D up to d = 256 and 64-column panels
+    # above it; the last panel has 1 column at d = 257 and 44 at d = 300.
+    # Positive definite Ds pass, one with an eigenvalue of 2e-5 too. An
+    # indefinite D, one with an eigenvalue of -2e-5, one with only its
+    # last Schur complement negative (-1e-3), and singular positive
+    # semidefinite Ds with a zero pivot in the first panel, a middle one
+    # and the last row raise the same error. The small eigenvalues and
+    # the Schur complement sit inside what one panel's products add to a
+    # pivot, so a dropped or wrong panel update changes the answer; all
+    # but the singular Ds are clear of zero, and there the check agrees
+    # with eigvalsh. S D S, with S scaling the first 64 rows and columns
+    # by 1e-6 to 1, has D's inertia and so D's answer, though its leading
+    # 64 x 64 block has condition 1e12.
     rng = np.random.default_rng(d)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eig = rng.uniform(0.5, 2.0, d)
@@ -88,16 +100,53 @@ def test_positive_definite_check_agrees_across_the_size_split(d):
         a = (q * eig) @ q.T
         return 0.5 * (a + a.T)
 
-    def model(big_d):
-        return ModelParams(mu=np.zeros(d), V=np.zeros((d, 1)), U=(), D=big_d)
+    def with_eigenvalue(value):
+        changed = eig.copy()
+        changed[d // 3] = value
+        return spd(changed)
 
-    model(spd(eig))
-    singular = spd(eig)
-    singular[d // 2] = singular[:, d // 2] = 0.0  # a zero pivot, exactly
-    eig[d // 3] = -1.0
-    for big_d in (spd(eig), singular):
-        with pytest.raises(NotPositiveDefinite, match="^D is not positive definite$"):
-            model(big_d)
+    def passes(big_d):
+        try:
+            ModelParams(mu=np.zeros(d), V=np.zeros((d, 1)), U=(), D=big_d)
+        except NotPositiveDefinite as exc:
+            assert str(exc) == "D is not positive definite"
+            return False
+        return True
+
+    definite = spd(eig)
+    last_negative = definite.copy()
+    lead, col = definite[:-1, :-1], definite[:-1, -1]
+    last_negative[-1, -1] = col @ np.linalg.solve(lead, col) - 1e-3
+    assert np.linalg.eigvalsh(lead).min() > 0
+    clear = {"definite": definite, "nearly singular": with_eigenvalue(2e-5),
+             "indefinite": with_eigenvalue(-1.0), "slightly indefinite": with_eigenvalue(-2e-5),
+             "last Schur complement": last_negative}
+    scale = np.ones(d)
+    scale[:64] = np.logspace(-6, 0, 64)
+    for name, big_d in clear.items():
+        lam = np.linalg.eigvalsh(big_d)
+        assert np.abs(lam).min() >= 1e-6 * np.abs(lam).max(), name
+        assert passes(big_d) == (lam.min() > 0) == (name in ("definite", "nearly singular")), name
+        assert passes(scale[:, None] * big_d * scale) == passes(big_d), name
+    for k in (0, d // 2, d - 1):
+        singular = definite.copy()
+        singular[k] = singular[:, k] = 0.0  # a zero pivot, exactly
+        assert not passes(singular), k
+
+
+def test_panel_solve_matches_solve():
+    # the rows below a panel are E F^-T, from the in-place inverse of its
+    # 64 x 64 factor F; they agree with a triangular solve to r eps max|F|
+    # on the scale of E
+    r = 64
+    rng = np.random.default_rng(r)
+    a = rng.standard_normal((r, r))
+    factor = np.linalg.cholesky(a @ a.T + np.eye(r))
+    rows = rng.standard_normal((200, r))
+    got = rows @ _lower_inverse(factor.copy()[None])[0].T
+    want = np.linalg.solve(factor, rows.T).T
+    bound = r * np.finfo(float).eps * np.abs(factor).max() * np.abs(rows).max()
+    assert np.abs(got - want).max() <= bound
 
 
 def test_validate_rejects_indefinite_precision_symmetric_within_tolerance(tmp_path):

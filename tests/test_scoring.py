@@ -31,6 +31,7 @@ from jplda import (
     scoring,
     stack_w,
 )
+from jplda.model import _lower_inverse
 from jplda.oracle import gaussian_llr_oracle, marginal_cov
 
 from conftest import random_model, random_priors
@@ -261,7 +262,7 @@ def test_lower_inverse_is_triangular_with_exact_zeros(r):
     rng = np.random.default_rng(r)
     a = rng.standard_normal((5, r, r))
     factors = np.linalg.cholesky(a @ a.swapaxes(1, 2) + np.eye(r))
-    inv = scoring._lower_inverse(factors.copy())
+    inv = _lower_inverse(factors.copy())
     assert inv.shape == factors.shape and not np.triu(inv, 1).any()
     np.testing.assert_array_equal(inv.diagonal(axis1=1, axis2=2),
                                   1.0 / factors.diagonal(axis1=1, axis2=2))
