@@ -17,9 +17,10 @@ The package exports what the CLI, the demos and the acceptance tests
 use: the model and prior types, the scoring path (``precompute_session``,
 ``llr``, ``score_trials`` and ``q_term``, which all take raw vectors;
 ``score_trials`` also takes ``ProjectedTable``s, the tables that
-``jplda score`` keeps as R_z projections per id), file I/O, synthetic data, detection metrics and the slow covariance
-oracle. A ``ModelParams`` checks itself when it is built, so none of
-these checks a model again.
+``jplda score`` keeps as R_z projections per id), file I/O, synthetic
+data, detection metrics and the slow covariance oracle. A
+``ModelParams`` checks itself when it is built, so none of these checks
+a model again.
 """
 
 from . import io, metrics, oracle, synth

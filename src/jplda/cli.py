@@ -61,17 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_score(args) -> int:
     """Score a trial list. The session is built first, so that each table
-    is kept as its projections (``scoring.ProjectedTable``), R_z floats
-    per id, as it is parsed: a session error is reported before any
-    table error."""
+    is read once into its projections (``scoring.ProjectedTable``), R_z
+    floats per id, block by block as it is parsed: a session error is
+    reported before any table error."""
     model = io.load_model(args.model)
     priors = io.load_priors(args.priors)
     session = scoring.precompute_session(model, priors)
-    enroll = io.load_embeddings(args.enroll, into=lambda: scoring.ProjectedTable(session))
+    enroll = io.load_embeddings(args.enroll, into=scoring.ProjectedTable(session))
     if os.path.realpath(args.test) == os.path.realpath(args.enroll):
         test = enroll
     else:
-        test = io.load_embeddings(args.test, into=lambda: scoring.ProjectedTable(session))
+        test = io.load_embeddings(args.test, into=scoring.ProjectedTable(session))
     trials = io.load_trials(args.trials)
     for i, (e, t, _) in enumerate(trials):  # in place: one list of trials at a time
         trials[i] = (e, t)

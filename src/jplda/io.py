@@ -6,9 +6,10 @@ delimiters and "." decimals regardless of locale. An id is any non-empty
 string without a tab, LF or CR; the writers reject other ids before
 they open the file.
 
-Embedding tables are parsed in blocks of rows by numpy's C reader; any
-block it might read differently from Python's ``float()`` sends the
-whole file to a row reader, so values and errors are the row reader's.
+Embedding tables are read once, in blocks of rows parsed by numpy's C
+reader; a block it might read differently from Python's ``float()``, or
+that holds a bad row, goes to a row parser, so values and errors are the
+row parser's.
 The trial and score readers intern ids per file: every row that names
 an id holds the same ``str`` object, so a list that reuses its ids
 costs one pointer per repeat.
@@ -169,28 +170,36 @@ def save_embeddings(path, embeddings) -> None:
 
 def load_embeddings(path, into=None):
     """Read an embedding table into an ordered id -> vector mapping, or
-    into a table that ``into`` makes.
+    into the table ``into``.
 
-    Values are parsed by ``np.loadtxt`` in blocks of ``_BLOCK_ROWS`` rows,
-    and each vector is a row view of its block. The result is bitwise the
-    row reader's, and so is every error: when numpy rejects a block, or a
-    block holds an id-only row or a value numpy would read but ``float()``
-    rejects, or the width changes between blocks, or an id is empty or
-    repeated, the file is read again row by row, which raises the
-    line-numbered ``MalformedFile`` or returns what ``float()`` makes of
-    values numpy rejects (``1_0``, non-ASCII digits).
+    The file is read once, in blocks of ``_BLOCK_ROWS`` non-blank lines.
+    Each block is parsed by ``np.loadtxt`` (``_block_by_numpy``) unless
+    numpy might read it differently from Python's ``float()``, or it
+    holds an id-only row, an empty or repeated id, or a width unlike the
+    earlier blocks'. Only such a block goes to the row parser
+    (``_block_by_row``), which raises the line-numbered ``MalformedFile``
+    or returns what ``float()`` makes of values numpy rejects (``1_0``,
+    non-ASCII digits). So values and errors are the row parser's, as if
+    it had read every line, and each vector of the mapping is a row view
+    of its block.
 
-    With ``into``, a callable that makes an empty table, no vector is
-    kept here: each block goes to the table's ``add(names, values)`` as
-    soon as it is parsed, ``values`` being a (rows, width) float64 matrix
-    that ``add`` may overwrite, and the table is returned. The row reader
-    starts again with a new table, in blocks of the same size. A
-    ``scoring.ProjectedTable`` keeps R_z floats per id this way, not d.
+    With ``into``, no vector is kept here: each block goes to the table's
+    ``add(names, values)`` as soon as it is parsed, ``values`` being a
+    (rows, width) float64 matrix that ``add`` may overwrite, and the
+    table is returned. ``into`` must support ``in`` for the ids already
+    added. A ``scoring.ProjectedTable`` keeps R_z floats per id this way,
+    not d.
     """
-    new = _Vectors if into is None else into
-    table = _embeddings_by_block(path, new())
-    if table is None:
-        table = _embeddings_by_row(path, new())
+    table = _Vectors() if into is None else into
+    width = None
+    with open(path, "r", encoding="utf-8") as f:
+        lines = ((n, line.rstrip("\n").partition("\t"))
+                 for n, line in enumerate(f, start=1) if line != "\n")
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            names, values = (_block_by_numpy(block, table, width)
+                             or _block_by_row(path, block, table, width))
+            width = values.shape[1]
+            table.add(names, values)
     return dict(table) if into is None else table
 
 
@@ -201,53 +210,45 @@ class _Vectors(dict):
         self.update(zip(names, values))
 
 
-def _embeddings_by_block(path, table=None):
-    """``table`` (by default a new id -> vector mapping) with the table
-    parsed by numpy added, or None where the row reader must decide."""
-    table = _Vectors() if table is None else table
-    rows, width = 0, None
-    with open(path, "r", encoding="utf-8") as f:
-        lines = (line.rstrip("\n").partition("\t") for line in f if line != "\n")
-        while chunk := list(itertools.islice(lines, _BLOCK_ROWS)):
-            names = [name for name, _, _ in chunk]
-            texts = [text for _, _, text in chunk]
-            # numpy skips an empty line, and warns when a block is all empty
-            if not (all(names) and all(texts)) or any(
-                c in t for t in texts for c in _NUMPY_ONLY_SPACE
-            ):
-                return None
-            try:
-                block = np.loadtxt(
-                    texts, dtype=np.float64, delimiter="\t", comments=None,
-                    quotechar=None, ndmin=2,
-                )
-            except ValueError:
-                return None
-            if len(block) != len(texts) or width not in (None, block.shape[1]):
-                return None
-            width = block.shape[1]
-            table.add(names, block)
-            rows += len(block)
-    # fewer ids than rows: an id is repeated
-    return table if len(table) == rows else None
+def _block_by_numpy(block, table, width):
+    """The ids and values of ``block``, numbered lines split at their
+    first tab, as ``np.loadtxt`` reads them, or None where the row parser
+    must decide. ``table`` holds the earlier blocks' ids and ``width``
+    their row length."""
+    names = [name for _, (name, _, _) in block]
+    texts = [text for _, (_, _, text) in block]
+    # numpy skips an empty line, and warns when a block is all empty
+    if not (all(names) and all(texts)) or any(
+        c in t for t in texts for c in _NUMPY_ONLY_SPACE
+    ):
+        return None
+    if len(set(names)) < len(names) or any(name in table for name in names):
+        return None
+    try:
+        values = np.loadtxt(
+            texts, dtype=np.float64, delimiter="\t", comments=None, quotechar=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if len(values) != len(texts) or width not in (None, values.shape[1]):
+        return None
+    return names, values
 
 
-def _embeddings_by_row(path, table=None):
-    """The row reader: float() per value, MalformedFile naming the line.
-    Adds the rows to ``table`` (by default a new id -> vector mapping) in
-    blocks of ``_BLOCK_ROWS``, and returns it."""
-    table = _Vectors() if table is None else table
-    seen = set()
-    names, block = [], []
-    width = None
-    for lineno, fields in _tsv_rows(path):
-        name = fields[0]
+def _block_by_row(path, block, table, width):
+    """The row parser: the ids and values of ``block``, numbered lines
+    split at their first tab, by ``float()`` per value, or MalformedFile
+    naming the first bad line. ``table`` holds the earlier blocks' ids and
+    ``width`` their row length (None before the first block)."""
+    rows = {}
+    for lineno, (name, tab, text) in block:
+        fields = text.split("\t") if tab else []
         if not name:
             raise MalformedFile(f"{path}:{lineno}: empty id")
-        if name in seen:
+        if name in rows or name in table:
             raise MalformedFile(f"{path}:{lineno}: duplicate id {name!r}")
         try:
-            vec = [float(x) for x in fields[1:]]
+            vec = [float(x) for x in fields]
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: bad float ({exc})") from exc
         if width is None:
@@ -256,15 +257,8 @@ def _embeddings_by_row(path, table=None):
             raise MalformedFile(
                 f"{path}:{lineno}: row has {len(vec)} values, expected {width}"
             )
-        seen.add(name)
-        names.append(name)
-        block.append(vec)
-        if len(block) == _BLOCK_ROWS:
-            table.add(names, np.array(block, dtype=np.float64))
-            names, block = [], []
-    if block:
-        table.add(names, np.array(block, dtype=np.float64))
-    return table
+        rows[name] = vec
+    return list(rows), np.array(list(rows.values()), dtype=np.float64)
 
 
 def save_trials(path, trials, labels=None) -> None:

@@ -227,14 +227,13 @@ def stack_w(model: ModelParams) -> np.ndarray:
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Invert an SPD matrix through its Cholesky factor; symmetrize the result."""
-    import scipy.linalg as sla
-
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    c, low = sla.cho_factor(a, lower=True)
-    inv = sla.cho_solve((c, low), np.eye(n))
+    """Invert an SPD matrix as L^-T L^-1, from its Cholesky factor L;
+    symmetrize the result. LinAlgError: ``a`` is not finite or not
+    positive definite."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("matrix is not finite")
+    inv_l = _lower_inverse(np.linalg.cholesky(a)[None])[0]
+    inv = inv_l.T @ inv_l
     return 0.5 * (inv + inv.T)
 
 
@@ -256,6 +255,6 @@ def collapse_to_plda(model: ModelParams) -> ModelParams:
         noise_cov = noise_cov + u @ u.T
     try:
         d_new = _spd_inverse(0.5 * (noise_cov + noise_cov.T))
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("collapsed noise covariance is not invertible") from exc
     return ModelParams(mu=model.mu, V=model.V, U=(), D=d_new)

@@ -62,9 +62,9 @@ their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
 ``score_trials``. ``score_trials`` takes raw tables, or
 ``ProjectedTable``s, which keep each id's projection p (R_z floats) in
-place of its raw vector (d floats) and give it the same bits. A session checks itself once, when it is built: its
-arrays are read-only and each branch has a hypothesis of nonzero prior,
-so scoring checks neither.
+place of its raw vector (d floats) and give it the same bits. A session
+checks itself once, when it is built: its arrays are read-only and each
+branch has a hypothesis of nonzero prior, so scoring checks neither.
 """
 
 import itertools
@@ -77,7 +77,9 @@ from .errors import (
     AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
     UnknownId,
 )
-from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
+from .hypothesis import (
+    HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior,
+)
 from .model import ModelParams, _lower_inverse, stack_w
 
 __all__ = [
@@ -208,22 +210,6 @@ def _factorize_level(blocks: np.ndarray, first: list) -> tuple:
         factors[failed] = np.eye(r)
     failing = next((h for h, bad in zip(first, failed) if bad), None)
     return _lower_inverse(factors), failing
-
-
-def _log_priors(priors: PriorConfig) -> np.ndarray:
-    """``hypothesis_log_prior`` of every hypothesis, in session order, bit
-    for bit: each condition's two logs are taken once (-inf for a zero
-    factor), and each hypothesis' terms are added one at a time from 0.0,
-    in condition order, by a sequential ``cumsum``."""
-    n = priors.n_conditions
-    logs = [[math.log(f) if f else -math.inf for p in branch for f in (p, 1.0 - p)]
-            for branch in (priors.p_same_given_ss, priors.p_same_given_ds)]
-    logs = np.array(logs).reshape(2, n, 2)
-    hyps = np.arange(2 ** (n + 1))[:, None]
-    terms = np.zeros((hyps.size, n + 1))
-    # bit j of a hypothesis' condition part is 1 where condition j is untied
-    terms[:, 1:] = logs[hyps >> n, np.arange(n), hyps >> np.arange(n - 1, -1, -1) & 1]
-    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSession:
@@ -364,7 +350,7 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         model=model,
         factorizations=tuple(hyps),
         half_log_det_sigma=half_log_det_sigma,
-        log_prior=_log_priors(priors),
+        log_prior=np.array([hypothesis_log_prior(h, priors) for h in hyps]),
         projection=projection,
         rows=rows,
         node_starts=node_starts,
@@ -562,14 +548,15 @@ class ProjectedTable:
     the raw ones, bit for bit.
 
     ``add`` takes one block of rows at a time, as
-    ``io.load_embeddings(path, into=...)`` parses them, and projects it
-    as ``score_trials`` projects raw vectors (``_project``), so no raw
-    vector outlives its block. The blocks are kept as they come: one
-    matrix would need the row count before the parse. The table also
-    keeps each id's row, whether its raw vector was finite, and its
-    width (a table of the wrong width is not projected), so an id that a
-    trial uses raises what the raw table would raise, and an id no trial
-    uses is never checked.
+    ``io.load_embeddings(path, into=table)`` parses them in its one pass
+    over the file, and projects it as ``score_trials`` projects raw
+    vectors (``_project``), so no raw vector outlives its block; ``in``
+    tells the reader which ids the table already holds. The blocks are
+    kept as they come: one matrix would need the row count before the
+    parse. The table also keeps each id's row, whether its raw vector
+    was finite, and its width (a table of the wrong width is not
+    projected), so an id that a trial uses raises what the raw table
+    would raise, and an id no trial uses is never checked.
     """
 
     def __init__(self, session: ScoringSession):
@@ -582,6 +569,9 @@ class ProjectedTable:
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def __contains__(self, name) -> bool:
+        return name in self._index
 
     def add(self, names: list, values: np.ndarray) -> None:
         """Project the next rows: ids ``names``, raw vectors the rows of
@@ -696,10 +686,11 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     a block's trials per call. Else a block's ids that hold no rows are
     whitened with it, and an id's rows are kept for a later block that
     uses it only while the rows kept take at most ``ROW_CACHE_BYTES``;
-    rows over the bound are whitened again, which changes no bit. The output order matches the input order, and every
-    score is bitwise equal to ``llr`` on the pair, for any number of
-    conditions: no sum runs in a different order for one trial than for
-    a block (see ``_q_block`` and ``_score_block``).
+    rows over the bound are whitened again, which changes no bit. The
+    output order matches the input order, and every score is bitwise
+    equal to ``llr`` on the pair, for any number of conditions: no sum
+    runs in a different order for one trial than for a block (see
+    ``_q_block`` and ``_score_block``).
 
     Args:
       enroll / test: both mappings from id to raw embedding vector, or

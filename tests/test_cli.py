@@ -51,10 +51,10 @@ def run_score(paths, extra=()):
 
 
 def test_score_loads_no_scipy_linalg(pipeline):
-    # numpy alone builds a session, scores, and checks D at every d, on
-    # both sides of the d = 256 split of the check: scipy.linalg (about
-    # 28 MB of RSS and a second BLAS) loads only for synth's noise draws
-    # and collapse_to_plda. numpy.random (with secrets, hashlib and
+    # numpy alone builds a session, scores, checks D at every d, on both
+    # sides of the d = 256 split of the check, and collapses a model:
+    # scipy.linalg (about 28 MB of RSS and a second BLAS) loads only for
+    # synth's noise draws. numpy.random (with secrets, hashlib and
     # OpenSSL) loads only when something is drawn.
     argv = ["score", "--model", str(pipeline["model"]), "--enroll", str(pipeline["emb"]),
             "--test", str(pipeline["emb"]), "--trials", str(pipeline["trials"]),
@@ -72,7 +72,10 @@ for name in ("scipy.linalg", "numpy.random"):
 for d in (257, 512):
     jplda.ModelParams(mu=np.zeros(d), V=np.zeros((d, 1)), U=(), D=np.eye(d))
     assert "scipy.linalg" not in sys.modules, f"the check of a d = {{d}} model"
-jplda.synth.sample_dataset(jplda.io.load_model({str(pipeline["model"])!r}), 2, (2, 2), 1, seed=0)
+model = jplda.io.load_model({str(pipeline["model"])!r})
+assert jplda.collapse_to_plda(model).n_conditions == 0 < model.n_conditions
+assert "scipy.linalg" not in sys.modules, "collapse_to_plda"
+jplda.synth.sample_dataset(model, 2, (2, 2), 1, seed=0)
 assert "numpy.random" in sys.modules, "synth.sample_dataset"
 """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -256,9 +259,9 @@ def both_paths(session, paths, trials):
     """score_trials on the tables read as raw mappings and as projected
     tables: the scores' bytes, or the error's type and message."""
     out = []
-    for into in (None, lambda: scoring.ProjectedTable(session)):
-        enroll = io.load_embeddings(paths["enroll"], into=into)
-        test = io.load_embeddings(paths["test"], into=into)
+    for into in (lambda: None, lambda: scoring.ProjectedTable(session)):
+        enroll = io.load_embeddings(paths["enroll"], into=into())
+        test = io.load_embeddings(paths["test"], into=into())
         try:
             out.append(scoring.score_trials(session, enroll, test, trials).tobytes())
         except Exception as exc:
@@ -270,8 +273,8 @@ def both_paths(session, paths, trials):
 @pytest.mark.parametrize("row_reader", [False, True], ids=["blocks", "row-reader"])
 def test_projected_score_writes_the_bytes_of_raw_tables(shaped, shape, row_reader, tmp_path):
     # with row_reader, the enroll table's last value reads as 1_0 does:
-    # numpy rejects it after the earlier blocks were projected, and the
-    # row reader reads the whole file again into a new table
+    # numpy rejects the last block after the earlier blocks were
+    # projected, and only that block goes to the row parser
     session, enroll, test, trials, paths = shaped(shape)
     if row_reader:
         lines = paths["enroll"].read_text().splitlines()

@@ -180,27 +180,43 @@ def _outcome(load, path):
     return [(name, vec.dtype, vec.shape, vec.tobytes()) for name, vec in table.items()]
 
 
+def _by_row(path):
+    """The whole-file ``float()`` reference: the row parser over every
+    non-blank line, as one block."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(f, start=1)]
+    block = [(n, line.partition("\t")) for n, line in lines if line]
+    names, values = io._block_by_row(path, block, {}, None)
+    return dict(zip(names, values))
+
+
 class _Blocks(dict):
     """A table for ``load_embeddings(into=...)``: the rows of the blocks
-    it was given, which must not exceed ``_BLOCK_ROWS``."""
+    it was given, which must not exceed ``_BLOCK_ROWS``, and the ids of
+    each block in ``blocks``."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
 
     def add(self, names, values):
         assert len(names) == len(values) <= io._BLOCK_ROWS
+        self.blocks.append(list(names))
         self.update(zip(names, values))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(embedding_tables(), st.sampled_from([1, 2, 3, io._BLOCK_ROWS]))
 def test_block_parse_matches_row_reader(text, block_rows):
-    # also when the blocks go to a table that ``into`` makes
+    # also when the blocks go to a table given as ``into``
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.tsv")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
             got = _outcome(io.load_embeddings, path)
-            into = _outcome(lambda p: io.load_embeddings(p, into=_Blocks), path)
-        assert got == into == _outcome(io._embeddings_by_row, path)
+            into = _outcome(lambda p: io.load_embeddings(p, into=_Blocks()), path)
+        assert got == into == _outcome(_by_row, path)
 
 
 def _table_lines(n_rows, width):
@@ -213,9 +229,28 @@ def test_block_parse_covers_several_blocks(rng, tmp_path):
     bits = rng.integers(0, 2**64, size=(2 * io._BLOCK_ROWS + 5, 3), dtype=np.uint64)
     table = {f"id{i}": row for i, row in enumerate(bits.view(np.float64))}
     io.save_embeddings(path, table)
-    by_block = io._embeddings_by_block(path)
-    assert by_block is not None
-    assert _outcome(lambda p: by_block, path) == _outcome(io._embeddings_by_row, path)
+    with mock.patch.object(io, "_block_by_row", wraps=io._block_by_row) as by_row:
+        by_block = io.load_embeddings(path)
+    assert by_row.call_count == 0
+    assert _outcome(lambda p: by_block, path) == _outcome(_by_row, path)
+
+
+def test_declined_block_alone_goes_to_the_row_parser(tmp_path):
+    # numpy declines the last block (1_0): the earlier blocks reach the
+    # table once each, nothing is parsed again, and the file is opened once
+    path = tmp_path / "emb.tsv"
+    n = 2 * io._BLOCK_ROWS + 5
+    lines = _table_lines(n, 2)
+    lines[-1] = f"id{n - 1}\t1_0\t2"
+    path.write_text("\n".join(lines) + "\n")
+    table = _Blocks()
+    with mock.patch.object(io, "open", wraps=open, create=True) as opened, \
+            mock.patch.object(io, "_block_by_row", wraps=io._block_by_row) as by_row:
+        assert io.load_embeddings(path, into=table) is table
+    assert opened.call_count == 1 and by_row.call_count == 1
+    ids = [f"id{i}" for i in range(n)]
+    assert table.blocks == [ids[i : i + io._BLOCK_ROWS] for i in range(0, n, io._BLOCK_ROWS)]
+    assert table[ids[-1]].tolist() == [10.0, 2.0]
 
 
 def test_block_parse_names_bad_float_after_first_block(tmp_path):

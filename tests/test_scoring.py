@@ -921,7 +921,7 @@ def repeated_ids_setup(rng, n_trials=60):
 
 @pytest.mark.parametrize("kept_rows", [0, 4])
 def test_score_trials_recomputed_rows_give_the_same_bits(rng, monkeypatch, whitenings, kept_rows):
-    # under a row-cache bound of 0 or 4 rows, ids used again are whitened
+    # under a row-cache bound of 0 or 4 ids' rows, ids used again are whitened
     # again block by block, and every score keeps its bits
     session, table, trials = repeated_ids_setup(rng)
     set_trials_per_block(monkeypatch, session, 3)
@@ -929,7 +929,7 @@ def test_score_trials_recomputed_rows_give_the_same_bits(rng, monkeypatch, white
     distinct = len({e for e, _ in trials}) + len({t for _, t in trials})
     assert sum(whitenings) <= distinct + len(whitenings)  # each (side, id) once, plus pads
     whitenings.clear()
-    monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", kept_rows * session.rows[0].nbytes)
+    monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", kept_rows * 8 * session.rows.shape[0])
     recomputed = score_trials(session, table, table, trials)
     assert sum(whitenings) > distinct + len(whitenings)
     assert recomputed.tobytes() == cached.tobytes()
@@ -948,6 +948,26 @@ def test_score_trials_whitens_ids_that_all_fit_in_few_calls(rng, monkeypatch, wh
     got = score_trials(session, enroll, test, trials)
     calls = math.ceil(16 / 6)
     assert len(whitenings) <= calls and sum(whitenings) <= 16 + calls, whitenings
+    loop = np.array([llr(session, enroll[e], test[t]) for e, t in trials])
+    assert got.tobytes() == loop.tobytes()
+
+
+def test_score_trials_whitens_kept_ids_once(rng, monkeypatch, whitenings):
+    # a 3 x 12 enroll-major matrix at 3 trials per block, with room for 6
+    # ids' kept rows out of the 15 ids: the store cannot hold every id,
+    # so ids are whitened block by block, and the rows of ids used again
+    # in a later block are kept within the bound. Each block uses 4 ids;
+    # whitening them all in every block takes 48 vectors, and keeping
+    # rows saves 10 of them (pads of odd counts included)
+    model = random_model(rng, 5, 2, (1, 2))
+    session = precompute_session(model, random_priors(rng, 2))
+    set_trials_per_block(monkeypatch, session, 3)
+    monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 6 * 8 * session.rows.shape[0])
+    enroll = {f"e{i}": rng.standard_normal(5) for i in range(3)}
+    test = {f"t{i}": rng.standard_normal(5) for i in range(12)}
+    trials = [(e, t) for e in enroll for t in test]
+    got = score_trials(session, enroll, test, trials)
+    assert sum(whitenings) == 38, whitenings
     loop = np.array([llr(session, enroll[e], test[t]) for e, t in trials])
     assert got.tobytes() == loop.tobytes()
 
@@ -1025,7 +1045,7 @@ def test_projected_table_keeps_no_raw_vectors(rng, tmp_path):
     io.save_embeddings(path, {f"id{i:06d}": v for i, v in enumerate(rng.standard_normal((n, 256)))})
     tracemalloc.start()
     try:
-        table = io.load_embeddings(path, into=lambda: scoring.ProjectedTable(session))
+        table = io.load_embeddings(path, into=scoring.ProjectedTable(session))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1037,7 +1057,7 @@ def test_projected_table_keeps_no_raw_vectors(rng, tmp_path):
 def test_projected_tables_come_in_pairs_from_the_scoring_session(rng, tmp_path):
     session, enroll, test, trials = batch_setup(rng, 6)
     io.save_embeddings(tmp_path / "e.tsv", enroll)
-    projected = io.load_embeddings(tmp_path / "e.tsv", into=lambda: scoring.ProjectedTable(session))
+    projected = io.load_embeddings(tmp_path / "e.tsv", into=scoring.ProjectedTable(session))
     with pytest.raises(TypeError, match="must both be mappings or both ProjectedTables"):
         score_trials(session, projected, test, trials)
     other = dataclasses.replace(session)
