@@ -16,6 +16,7 @@ costs one pointer per repeat.
 """
 
 import itertools
+import math
 import re
 import struct
 
@@ -114,7 +115,7 @@ def load_model(path) -> ModelParams:
     off += 4 * n_cond
 
     shapes = [(d,), (d, r_y), *((d, r) for r in r_x), (d, d)]
-    n_floats = sum(int(np.prod(shape)) for shape in shapes)
+    n_floats = sum(math.prod(shape) for shape in shapes)
     if len(blob) != off + 8 * n_floats:
         raise TruncatedPayload(
             f"{path}: payload is {len(blob) - off} bytes, header implies {8 * n_floats}"
@@ -122,7 +123,7 @@ def load_model(path) -> ModelParams:
     # views into the file's bytes: ModelParams makes the only copy
     arrays = []
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape))
         off += 8 * count
     mu, v, *u, big_d = arrays

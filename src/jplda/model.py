@@ -250,11 +250,13 @@ def collapse_to_plda(model: ModelParams) -> ModelParams:
     """
     if model.n_conditions == 0:
         return model
-    noise_cov = _spd_inverse(model.D)
-    for u in model.U:
-        noise_cov = noise_cov + u @ u.T
-    try:
-        d_new = _spd_inverse(0.5 * (noise_cov + noise_cov.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("collapsed noise covariance is not invertible") from exc
+    # overflow leaves a non-finite covariance, which raises NotPositiveDefinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise_cov = _spd_inverse(model.D)
+        for u in model.U:
+            noise_cov = noise_cov + u @ u.T
+        try:
+            d_new = _spd_inverse(0.5 * (noise_cov + noise_cov.T))
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("collapsed noise covariance is not invertible") from exc
     return ModelParams(mu=model.mu, V=model.V, U=(), D=d_new)

@@ -1,9 +1,11 @@
-"""Reference implementations used only for testing.
+"""Reference implementations that the fast scoring path is checked against.
 
-Everything here evaluates densities directly on covariance matrices of
-the observed vectors, with full normalization constants and no use of
-the production precision-domain shortcuts. It is deliberately O(d^3)
-per hypothesis per trial: a slow, independent path to the same numbers.
+The tests, ``jplda check`` and the benchmark's score checker call them;
+``jplda score`` does not. Everything here evaluates densities directly
+on covariance matrices of the observed vectors, with full normalization
+constants and no use of the production precision-domain shortcuts. It
+is deliberately O(d^3) per hypothesis per trial: a slow, independent
+path to the same numbers.
 """
 
 import math

@@ -62,11 +62,14 @@ their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
 ``score_trials``. ``score_trials`` takes raw tables, or
 ``ProjectedTable``s, which keep each id's projection p (R_z floats) in
-place of its raw vector (d floats) and give it the same bits. A session
+place of its raw vector (d floats) and give it the same bits. A batch of
+raw vectors is checked by one scan, and one id's projection where it is
+looked up, so both raise the same error for the first bad id. A session
 checks itself once, when it is built: its arrays are read-only and each
 branch has a hypothesis of nonzero prior, so scoring checks neither.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -385,7 +388,8 @@ def _project(session: ScoringSession, x: np.ndarray) -> np.ndarray:
     checked (2P, d) matrix that this centers in place, two at a time:
     shape (P, R_z, 2), where [j, :, c] is vector 2j + c."""
     np.subtract(x, session.model.mu, out=x)
-    return _pair_product(session.projection, x.reshape(-1, 2, x.shape[1]).transpose(0, 2, 1))
+    pairs = x.reshape(len(x) // 2, 2, x.shape[1]).transpose(0, 2, 1)
+    return _pair_product(session.projection, pairs)
 
 
 def _whiten(session: ScoringSession, pairs: np.ndarray) -> np.ndarray:
@@ -554,16 +558,18 @@ class ProjectedTable:
     tells the reader which ids the table already holds. The blocks are
     kept as they come: one matrix would need the row count before the
     parse. The table also keeps each id's row, whether its raw vector
-    was finite, and its width (a table of the wrong width is not
-    projected), so an id that a trial uses raises what the raw table
-    would raise, and an id no trial uses is never checked.
+    was a finite vector of length d, and its width (a table of the wrong
+    width is not projected). ``score_trials`` looks each id up on its
+    own, in trial order (``_projection``), and the lookup raises what the
+    raw table would raise for that id, so an id no trial uses is never
+    checked.
     """
 
     def __init__(self, session: ScoringSession):
         self.session = session
         self.width = None
         self._index = {}  # id -> row
-        self._finite = bytearray()  # per row: 1 where the raw vector was finite
+        self._valid = bytearray()  # per row: 1 where the raw vector was finite, of length d
         self._starts = []  # the first row of each block
         self._blocks = []  # each block's projections; None at the wrong width
 
@@ -577,10 +583,9 @@ class ProjectedTable:
         """Project the next rows: ids ``names``, raw vectors the rows of
         the (n, width) float64 matrix ``values``, which this overwrites."""
         n, self.width = values.shape
-        start = len(self._finite)
+        start = len(self._valid)
         self._index.update(zip(names, range(start, start + n)))
         finite = np.isfinite(values).all(axis=1)
-        self._finite += finite.tobytes()
         proj = None
         if self.width == self.session.model.d:
             mu = self.session.model.mu
@@ -589,29 +594,20 @@ class ProjectedTable:
             with np.errstate(all="ignore"):
                 proj = _project(self.session, x).transpose(0, 2, 1)
             proj = proj.reshape(len(x), self.session.model.r_z)[:n]
+        self._valid += bytes(n) if proj is None else finite.tobytes()
         self._starts.append(start)
         self._blocks.append(proj)
 
-    def _rows(self, names: list):
-        """The projections of the ids ``names``, as a list of rows, or
-        None where an id is unknown, its raw vector was not finite, or the
-        table's width is wrong."""
-        rows = np.fromiter((self._index.get(name, -1) for name in names), np.intp, len(names))
-        if (self.width != self.session.model.d or rows.min() < 0
-                or not np.frombuffer(self._finite, dtype=bool)[rows].all()):
-            return None
-        starts = np.array(self._starts)
-        blocks = np.searchsorted(starts, rows, side="right") - 1
-        rows -= starts[blocks]
-        return [self._blocks[b][r] for b, r in zip(blocks.tolist(), rows.tolist())]
-
-    def _check_id(self, name, side: bool) -> None:
-        """Raise the error that ``score_trials`` raises for the raw vector
-        of id ``name`` on ``side``, if there is one."""
+    def _projection(self, name, side: bool) -> np.ndarray:
+        """The projection of id ``name`` on ``side``, or the error that
+        ``score_trials`` raises for its raw vector."""
         row = self._index.get(name)
         if row is None:
             raise UnknownId(f"unknown {_what(side, name)}")
-        _check(self.session, _what(side, name), (self.width,), self._finite[row])
+        if not self._valid[row]:
+            _check(self.session, _what(side, name), (self.width,), False)
+        b = bisect.bisect_right(self._starts, row) - 1
+        return self._blocks[b][row - self._starts[b]]
 
 
 def _raw_pairs(session: ScoringSession, tables: tuple, names: list, sides: list) -> np.ndarray:
@@ -624,22 +620,12 @@ def _raw_pairs(session: ScoringSession, tables: tuple, names: list, sides: list)
 
 def _projected_pairs(session: ScoringSession, tables: tuple, names: list,
                      sides: list) -> np.ndarray:
-    """As ``_raw_pairs``, for ``ProjectedTable``s: their rows, gathered
-    into a C-contiguous array. Only when a table cannot give its rows is
-    each id checked on its own, in order, so that the error names the
-    first bad one."""
-    rows = [None] * len(names)
-    for side, table in enumerate(tables):
-        at = [k for k, s in enumerate(sides) if s == side]
-        got = table._rows([names[k] for k in at]) if at else []
-        if got is None:
-            for name, s in zip(names, sides):
-                tables[s]._check_id(name, s)
-        for k, row in zip(at, got):
-            rows[k] = row
-    rows += [np.zeros(session.model.r_z)] * (len(rows) % 2)
-    x = np.array(rows).reshape(len(rows) // 2, 2, session.model.r_z)
-    return np.ascontiguousarray(x.transpose(0, 2, 1))
+    """As ``_raw_pairs``, for ``ProjectedTable``s: their projections, each
+    id checked where it is gathered, in order, into a C-contiguous array."""
+    pairs = np.zeros(((len(names) + 1) // 2, session.model.r_z, 2))
+    for k, (name, side) in enumerate(zip(names, sides)):
+        pairs[k >> 1, :, k & 1] = tables[side]._projection(name, side)
+    return pairs
 
 
 def _positions(trials) -> tuple:
@@ -673,24 +659,24 @@ def score_trials(session: ScoringSession, enroll, test, trials) -> np.ndarray:
     of its two ids (``_positions``), and everything after reads those.
     Trials are scored in blocks whose trial rows take at most
     ``BLOCK_BYTES``. A whitening call asks the tables for the checked
-    projections of its ids, in order of first use: raw vectors are
-    checked as one matrix and projected, a ``ProjectedTable`` gives the
-    projections it made when it was read, which have the same bits. The
-    ids are then whitened two at a time by the pair products that ``llr``
-    uses (``_pair_product``), so no Cholesky runs here and an id's rows
-    have the same bits whatever id shares its product. A test id's K2
-    rows are stored negated, so a trial's rows are one add of its ids'
-    rows. The row store holds the rows that may be kept plus those of one
-    block's new ids, at most all ids, and one pad row. When it holds
-    every id, all ids are whitened before the first block, at most twice
-    a block's trials per call. Else a block's ids that hold no rows are
-    whitened with it, and an id's rows are kept for a later block that
-    uses it only while the rows kept take at most ``ROW_CACHE_BYTES``;
-    rows over the bound are whitened again, which changes no bit. The
-    output order matches the input order, and every score is bitwise
-    equal to ``llr`` on the pair, for any number of conditions: no sum
-    runs in a different order for one trial than for a block (see
-    ``_q_block`` and ``_score_block``).
+    projections of its ids, in order of first use: raw vectors are checked
+    as one matrix and projected, while a ``ProjectedTable`` looks up and
+    checks each id's projection on its own; it made them when it was read,
+    with the same bits. The ids are then whitened two at a time by the
+    pair products that ``llr`` uses (``_pair_product``), so no Cholesky
+    runs here and an id's rows have the same bits whatever id shares its
+    product. A test id's K2 rows are stored negated, so a trial's rows are
+    one add of its ids' rows. The row store holds the rows that may be
+    kept plus those of one block's new ids, at most all ids, and one pad
+    row. When it holds every id, all ids are whitened before the first
+    block, at most twice a block's trials per call. Else a block's ids
+    that hold no rows are whitened with it, and an id's rows are kept for
+    a later block that uses it only while the rows kept take at most
+    ``ROW_CACHE_BYTES``; rows over the bound are whitened again, which
+    changes no bit. The output order matches the input order, and every
+    score is bitwise equal to ``llr`` on the pair, for any number of
+    conditions: no sum runs in a different order for one trial than for a
+    block (see ``_q_block`` and ``_score_block``).
 
     Args:
       enroll / test: both mappings from id to raw embedding vector, or

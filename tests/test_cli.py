@@ -414,6 +414,51 @@ def test_check_small_model_agrees(pipeline, capsys):
     assert "max_abs_deviation" in out and "OK" in out
 
 
+CLI_INPUT_ERRORS = {
+    "bad-conditions": (
+        ["synth", "--model", "{model}", "--speakers", "2", "--conditions", "2,x",
+         "--per-speaker", "2", "--seed", "1", "--out-prefix", "{scores}"],
+        "jplda synth: bad --conditions value: invalid literal for int() with base 10: 'x'",
+    ),
+    "unlabeled-key": (
+        ["eval", "--scores", "{scores}", "--key", "{trials}"],
+        "jplda eval: {trials}: every key row needs a target/nontarget label",
+    ),
+    "no-trials": (
+        ["check", "--model", "{model}", "--trials-count", "0", "--seed", "0"],
+        "jplda check: --trials-count must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CLI_INPUT_ERRORS)
+def test_input_errors_exit_1_with_their_message(pipeline, capsys, case):
+    argv, message = CLI_INPUT_ERRORS[case]
+    assert main([arg.format(**pipeline) for arg in argv]) == 1
+    assert capsys.readouterr().err == message.format(**pipeline) + "\n"
+
+
+@pytest.mark.parametrize("r_y, r_x", [(0, ()), (1, ()), (1, (1, 1))],
+                         ids=["R_z=0", "R_z=1", "R_z=3"])
+def test_score_zero_dimensional_model(rng, tmp_path, r_y, r_x):
+    # d = 0: every embedding is an id with no values
+    model = random_model(rng, 0, r_y, r_x)
+    priors = random_priors(rng, len(r_x))
+    table = {name: np.zeros(0) for name in ("a", "b", "c")}
+    trials = [("a", "b"), ("c", "a"), ("b", "b")]
+    paths = {name: tmp_path / name for name in
+             ("model", "priors", "enroll", "test", "trials", "scores")}
+    io.save_model(model, paths["model"])
+    io.save_priors(paths["priors"], priors)
+    io.save_embeddings(paths["enroll"], table)
+    io.save_embeddings(paths["test"], table)
+    io.save_trials(paths["trials"], trials)
+    assert cli_score(paths) == 0
+    session = scoring.precompute_session(model, priors)
+    io.save_scores(tmp_path / "raw.tsv", trials, scoring.score_trials(session, table, table, trials))
+    assert paths["scores"].read_bytes() == (tmp_path / "raw.tsv").read_bytes()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["score", "--model", "only"]) == 1
     assert main([]) == 1

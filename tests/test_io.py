@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import tempfile
 import warnings
 from unittest import mock
@@ -79,6 +80,27 @@ def test_model_payload_fails_validation(tmp_path):
     blob[-8:] = np.float64(-1.0).tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(ValidationFailed):
+        io.load_model(path)
+
+
+def test_model_header_arithmetic_does_not_wrap(tmp_path):
+    # d^2 for d = 2^32 - 1 is past the int64 range
+    d = 2**32 - 1
+    path = tmp_path / "m.jplda"
+    path.write_bytes(io.MAGIC + struct.pack("<4I", io.FORMAT_VERSION, d, 0, 0))
+    message = f"{path}: payload is 0 bytes, header implies {8 * (d + d * d)}"
+    with pytest.raises(TruncatedPayload, match=f"^{re.escape(message)}$"):
+        io.load_model(path)
+
+
+@pytest.mark.parametrize("header", [
+    struct.pack("<3I", io.FORMAT_VERSION, 2, 1),
+    struct.pack("<5I", io.FORMAT_VERSION, 2, 1, 2, 1),
+], ids=["fixed-fields", "condition-ranks"])
+def test_model_header_cut_short(tmp_path, header):
+    path = tmp_path / "m.jplda"
+    path.write_bytes(io.MAGIC + header)
+    with pytest.raises(TruncatedPayload, match=f"^{re.escape(str(path))}: header cut short$"):
         io.load_model(path)
 
 
@@ -362,6 +384,26 @@ def test_priors_reject_gaps_and_ranges(tmp_path):
         "condition.1.p_same_given_ss = 1.5\ncondition.1.p_same_given_ds = 0.5\n"
     )
     with pytest.raises(MalformedFile):
+        io.load_priors(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("condition.1.p_same_given_ss 0.5\n", ":1: expected 'key = value'"),
+    ("prior.1.p_same_given_ss = 0.5\n", ":1: bad key 'prior.1.p_same_given_ss'"),
+    ("condition.1.p_same = 0.5\n", ":1: bad key 'condition.1.p_same'"),
+    ("condition.one.p_same_given_ss = 0.5\n",
+     ":1: invalid literal for int() with base 10: 'one'"),
+    ("condition.1.p_same_given_ss = half\n", ":1: could not convert string to float: 'half'"),
+    ("condition.1.p_same_given_ss = 0.5\ncondition.1.p_same_given_ss = 0.6\n",
+     ":2: duplicate key 'condition.1.p_same_given_ss'"),
+    ("condition.0.p_same_given_ss = 0.5\ncondition.0.p_same_given_ds = 0.5\n",
+     ": condition numbering must be contiguous from 1"),
+], ids=["no-equals", "bad-prefix", "bad-field", "bad-index", "bad-number", "duplicate",
+        "numbered-from-0"])
+def test_priors_name_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "priors.cfg"
+    path.write_text(text)
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path) + message)}$"):
         io.load_priors(path)
 
 

@@ -67,6 +67,16 @@ def test_validate_rejects_row_mismatch():
     assert_rejected(None, DimensionMismatch, U=(np.zeros((2, 1)),))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"mu": np.zeros((3, 1))}, "mu must be 1-dimensional, got shape (3, 1)"),
+    ({"V": np.ones((2, 1))}, "V has 2 rows, expected d=3"),
+    ({"D": np.eye(2)}, "D has shape (2, 2), expected (3, 3)"),
+], ids=["rank", "V-rows", "D-shape"])
+def test_validate_names_the_wrong_shape(bad, message):
+    # none of these can be written to a model file: its header fixes the shapes
+    assert_rejected(None, DimensionMismatch, f"^{re.escape(message)}$", **bad)
+
+
 def test_validate_rejects_indefinite_precision(tmp_path):
     assert_rejected(tmp_path, NotPositiveDefinite, D=np.diag([1.0, -1.0, 1.0]))
     # the leading 2x2 block is positive definite, the 3x3 determinant
@@ -234,6 +244,18 @@ def test_collapse_scalar_value():
     collapsed = collapse_to_plda(model)
     np.testing.assert_allclose(collapsed.D, [[0.2]], rtol=0, atol=1e-15)
     assert collapsed.n_conditions == 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"U": (np.full((3, 2), 1e200),)},
+    {"D": np.diag([1.0, 1.0, 1e-310])},
+], ids=["huge-loadings", "subnormal-precision"])
+def test_collapse_overflow_raises_not_positive_definite(bad):
+    # U U^T, or the inverse of D, overflows to inf: a defined error, not
+    # numpy's overflow warning
+    model = ModelParams(**{**valid_arrays(), **bad})
+    with pytest.raises(NotPositiveDefinite, match="^collapsed noise covariance is not invertible$"):
+        collapse_to_plda(model)
 
 
 @pytest.mark.parametrize("diagonal_noise", [False, True], ids=["full-D", "diagonal-D"])

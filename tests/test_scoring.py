@@ -814,6 +814,26 @@ def test_score_trials_never_refactorizes(rng, factorizations):
     assert factorizations == []
 
 
+@pytest.mark.parametrize("r_y, r_x", [(0, ()), (1, ()), (1, (1, 1))],
+                         ids=["R_z=0", "R_z=1", "R_z=3"])
+def test_zero_dimensional_model_scores(rng, r_y, r_x):
+    # d = 0: no value is observed, so both branches have likelihood 1 and
+    # the LLR is 0 up to rounding
+    model = random_model(rng, 0, r_y, r_x)
+    priors = random_priors(rng, len(r_x))
+    session = precompute_session(model, priors)
+    m = np.zeros(0)
+    assert abs(llr(session, m, m) - gaussian_llr_oracle(model, priors, m, m)) <= 1e-15
+    names = ["a", "b", "c"]  # an odd count: the table pads its last pair
+    raw = {name: np.zeros(0) for name in names}
+    projected = scoring.ProjectedTable(session)
+    projected.add(names, np.zeros((3, 0)))
+    trials = [("a", "b"), ("c", "a"), ("b", "b")]
+    loop = np.array([llr(session, m, m) for _ in trials])
+    assert score_trials(session, raw, raw, trials).tobytes() == loop.tobytes()
+    assert score_trials(session, projected, projected, trials).tobytes() == loop.tobytes()
+
+
 # the first bad id in trial order raises --------------------------------------
 
 BAD_IDS = {
