@@ -2,7 +2,9 @@
 
 Builds a small two-condition model by hand, samples an enrollment/test
 pair that truly shares a speaker, and prints every per-hypothesis
-contribution next to the final log-likelihood ratio. Ends with the
+contribution (one ``q_terms`` array: a row per speaker branch, a column
+per condition-tie hypothesis) next to the final log-likelihood ratio,
+the difference of the two rows' log-sum-exps. Ends with the
 slow-oracle cross-check.
 """
 
@@ -15,7 +17,7 @@ from jplda import (
     enumerate_condition_hypotheses,
     llr,
     precompute_session,
-    q_term,
+    q_terms,
     sample_trial_pair,
 )
 from jplda.oracle import gaussian_llr_oracle
@@ -46,11 +48,10 @@ truth = HypothesisVector(True, (True, False))
 m_enroll, m_test = sample_trial_pair(model, truth, seed=123)
 
 print("\nper-hypothesis terms (same-speaker branch | different-speaker branch):")
-for cond in enumerate_condition_hypotheses(model.n_conditions):
+q_ss, q_ds = q_terms(session, m_enroll, m_test)
+for cond, ss, ds in zip(enumerate_condition_hypotheses(model.n_conditions), q_ss, q_ds):
     ties = "".join("S" if t else "D" for t in cond)
-    q_ss = q_term(session, True, cond, m_enroll, m_test)
-    q_ds = q_term(session, False, cond, m_enroll, m_test)
-    print(f"  conditions {ties}:  Q_ss = {q_ss:9.3f}   Q_ds = {q_ds:9.3f}")
+    print(f"  conditions {ties}:  Q_ss = {ss:9.3f}   Q_ds = {ds:9.3f}")
 
 score = llr(session, m_enroll, m_test)
 print(f"\nLLR = {score:.6f}  (positive favors same speaker; truth here is same)")

@@ -15,12 +15,12 @@ Typical use::
 
 The package exports what the CLI, the demos and the acceptance tests
 use: the model and prior types, the scoring path (``precompute_session``,
-``llr``, ``score_trials`` and ``q_term``, which all take raw vectors;
-``score_trials`` also takes ``ProjectedTable``s, the tables that
-``jplda score`` keeps as R_z projections per id), file I/O, synthetic
-data, detection metrics and the slow covariance oracle. A
-``ModelParams`` checks itself when it is built, so none of these checks
-a model again.
+``llr``, ``score_trials`` and ``q_terms``, a trial's 2^(N+1) hypothesis
+terms, which all take raw vectors; ``score_trials`` also takes
+``ProjectedTable``s, the tables that ``jplda score`` keeps as R_z
+projections per id), file I/O, synthetic data, detection metrics and the
+slow covariance oracle. A ``ModelParams`` checks itself when it is
+built, so none of these checks a model again.
 """
 
 from . import io, metrics, oracle, synth
@@ -47,16 +47,15 @@ from .hypothesis import (
     HypothesisVector,
     PriorConfig,
     enumerate_condition_hypotheses,
-    hypothesis_log_prior,
 )
 from .metrics import ScoredTrials, calibration_identity, eer
-from .model import ModelParams, collapse_to_plda, stack_w
+from .model import ModelParams, collapse_to_plda
 from .scoring import (
     ProjectedTable,
     ScoringSession,
     llr,
     precompute_session,
-    q_term,
+    q_terms,
     score_trials,
 )
 from .synth import (
@@ -64,7 +63,6 @@ from .synth import (
     make_benchmark,
     sample_dataset,
     sample_trial_pair,
-    sample_trial_pairs,
 )
 
 __version__ = "0.1.0"
@@ -98,18 +96,15 @@ __all__ = [
     "collapse_to_plda",
     "eer",
     "enumerate_condition_hypotheses",
-    "hypothesis_log_prior",
     "io",
     "llr",
     "make_benchmark",
     "metrics",
     "oracle",
     "precompute_session",
-    "q_term",
+    "q_terms",
     "sample_dataset",
     "sample_trial_pair",
-    "sample_trial_pairs",
     "score_trials",
-    "stack_w",
     "synth",
 ]

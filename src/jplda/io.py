@@ -3,8 +3,9 @@
 The model file is binary for bit-exact round trips; everything humans
 edit (embeddings, trial lists, priors, scores) is plain text with tab
 delimiters and "." decimals regardless of locale. An id is any non-empty
-string without a tab, LF or CR; the writers reject other ids before
-they open the file.
+string without a tab, LF or CR; the writers reject other ids, and
+labels or scores that do not number one per trial, before they open
+the file.
 
 Embedding tables are read once, in blocks of rows parsed by numpy's C
 reader; a block it might read differently from Python's ``float()``, or
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .hypothesis import PriorConfig
 from .model import ModelParams
-from .synth import SyntheticDataset
 
 __all__ = [
     "MAGIC",
@@ -263,8 +263,10 @@ def _block_by_row(path, block, table, width):
 
 
 def save_trials(path, trials, labels=None) -> None:
-    """Write enroll<TAB>test rows, with target/nontarget labels if given."""
+    """Write enroll<TAB>test rows, with one target/nontarget label per trial if given."""
     trials = list(trials)
+    if labels is not None and len(labels) != len(trials):
+        raise ValueError(f"{len(labels)} labels for {len(trials)} trials")
     _check_ids(path, (i for pair in trials for i in pair))
     with open(path, "w", encoding="utf-8") as f:
         for i, (eid, tid) in enumerate(trials):
@@ -353,8 +355,10 @@ def load_priors(path) -> PriorConfig:
 
 
 def save_scores(path, trials, scores) -> None:
-    """Write enroll<TAB>test<TAB>score rows; 17 significant digits."""
+    """Write enroll<TAB>test<TAB>score rows, one score per trial; 17 significant digits."""
     trials = list(trials)
+    if len(scores) != len(trials):
+        raise ValueError(f"{len(scores)} scores for {len(trials)} trials")
     _check_ids(path, (i for pair in trials for i in pair))
     with open(path, "w", encoding="utf-8") as f:
         for (eid, tid), s in zip(trials, scores):
@@ -381,8 +385,8 @@ def load_scores(path) -> list:
     return out
 
 
-def save_dataset(prefix, dataset: SyntheticDataset) -> dict:
-    """Write a synthetic dataset as embeddings + speaker + condition tables.
+def save_dataset(prefix, dataset) -> dict:
+    """Write a ``SyntheticDataset`` as embeddings + speaker + condition tables.
 
     Returns the written paths keyed by role: "embeddings", "speakers",
     "conditions".

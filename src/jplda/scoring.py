@@ -57,16 +57,17 @@ log-sum-exp are vectorized over a block of trials. ``score_trials``
 whitens every id before scoring when its row store holds them all, and
 otherwise each id once per block that uses it, keeping its rows for the
 later blocks that use it again within a byte bound. ``llr`` and
-``q_term`` take raw vectors, check them like ``score_trials`` does, put
+``q_terms`` take raw vectors, check them like ``score_trials`` does, put
 their pair [enroll, test] through the same products and apply the same
 block function to one trial, so their Q terms are bitwise those of
-``score_trials``. ``score_trials`` takes raw tables, or
-``ProjectedTable``s, which keep each id's projection p (R_z floats) in
-place of its raw vector (d floats) and give it the same bits. A batch of
-raw vectors is checked by one scan, and one id's projection where it is
-looked up, so both raise the same error for the first bad id. A session
-checks itself once, when it is built: its arrays are read-only and each
-branch has a hypothesis of nonzero prior, so scoring checks neither.
+``score_trials``; ``q_terms`` returns all 2^(N+1) of them. ``score_trials``
+takes raw tables, or ``ProjectedTable``s, which keep each id's
+projection p (R_z floats) in place of its raw vector (d floats) and give
+it the same bits. A batch of raw vectors is checked by one scan, and one
+id's projection where it is looked up, so both raise the same error for
+the first bad id. A session checks itself once, when it is built: its
+arrays are read-only and each branch has a hypothesis of nonzero prior,
+so scoring checks neither.
 """
 
 import bisect
@@ -86,7 +87,7 @@ from .hypothesis import (
 from .model import ModelParams, _lower_inverse, stack_w
 
 __all__ = [
-    "ScoringSession", "ProjectedTable", "precompute_session", "q_term", "llr", "score_trials",
+    "ScoringSession", "ProjectedTable", "precompute_session", "q_terms", "llr", "score_trials",
 ]
 
 # Largest whitening rows, 24 * R_z * sum_k 2^k R_k bytes, plus the cross
@@ -507,31 +508,28 @@ def llr(session: ScoringSession, m_enroll, m_test) -> float:
     return score
 
 
-def q_term(session: ScoringSession, speaker_tied: bool, h, m_enroll, m_test) -> float:
-    """One hypothesis' term 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log prior.
+def q_terms(session: ScoringSession, m_enroll, m_test) -> np.ndarray:
+    """Every hypothesis' term 0.5 log|Sigma| + 0.5 Phi^T Sigma Phi + log
+    prior for one trial, shape (2, 2^N): [branch, hypothesis], in the
+    order of ``session.factorizations``.
 
-    ``h`` is the condition-tie vector; inputs are raw (uncentered), as
-    for ``llr``, and are checked the same way. Returns -inf when the
-    hypothesis prior is zero. The value is bitwise the term that ``llr``
-    sums for the same inputs.
+    Inputs are raw (uncentered), as for ``llr``, and are checked the same
+    way. An entry is -inf where the hypothesis prior is zero. The terms
+    are bitwise those whose branch log-sum-exps ``llr`` subtracts.
 
     Raises:
-      DimensionMismatch: ``h`` does not have one entry per condition;
-        otherwise as ``llr`` for its inputs.
-      NonFinite: as ``llr`` for its inputs, or the term is NaN or +inf
-        because the trial's whitened projections overflowed.
+      DimensionMismatch: as ``llr``.
+      NonFinite: as ``llr`` for its inputs, or a term is NaN or +inf
+        because the trial's whitened projections overflowed; the message
+        names the first such hypothesis.
     """
-    hv = HypothesisVector(speaker_tied, tuple(h))
-    if len(hv.condition_tied) != session.model.n_conditions:
-        raise DimensionMismatch(
-            f"tie vector has length {len(hv.condition_tied)}, "
-            f"the model has {session.model.n_conditions} conditions"
-        )
-    i = session.factorizations.index(hv)
     with np.errstate(all="ignore"):
-        q = float(_q_block(session, _one_trial(session, m_enroll, m_test)).reshape(-1)[i])
-    if math.isnan(q) or q == math.inf:
-        raise NonFinite(f"the term of {hv} is {q}: the trial's whitened projections overflowed")
+        q = _q_block(session, _one_trial(session, m_enroll, m_test))[0]
+    bad = np.flatnonzero(np.isnan(q) | (q == math.inf))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFinite(f"the term of {session.factorizations[i]} is {float(q.flat[i])}: "
+                        "the trial's whitened projections overflowed")
     return q
 
 

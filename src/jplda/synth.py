@@ -34,14 +34,12 @@ class SyntheticDataset:
       speaker_labels: (I,) integer speaker of each sample.
       condition_labels: (N, I) integer label per condition per sample.
       ids: I unique sample id strings.
-      seed: the seed the dataset was generated from.
     """
 
     embeddings: np.ndarray
     speaker_labels: np.ndarray
     condition_labels: np.ndarray
     ids: tuple
-    seed: int
 
 
 def _noise_factor(model: ModelParams) -> np.ndarray:
@@ -113,7 +111,6 @@ def sample_dataset(
         speaker_labels=speaker_labels,
         condition_labels=condition_labels,
         ids=ids,
-        seed=int(seed),
     )
 
 

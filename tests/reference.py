@@ -15,7 +15,8 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 
-from jplda import HypothesisVector, enumerate_condition_hypotheses, stack_w
+from jplda import HypothesisVector, enumerate_condition_hypotheses
+from jplda.model import stack_w
 
 
 def split_columns(model, h):

@@ -7,9 +7,9 @@ from jplda import (
     HypothesisVector,
     PriorConfig,
     enumerate_condition_hypotheses,
-    hypothesis_log_prior,
-    stack_w,
 )
+from jplda.hypothesis import hypothesis_log_prior
+from jplda.model import stack_w
 
 from conftest import random_model, random_priors
 from reference import split_columns

@@ -325,7 +325,8 @@ def test_trials_round_trip(tmp_path):
 def test_trials_reject_bad_label(tmp_path):
     path = tmp_path / "trials.tsv"
     path.write_text("e\tt\tmaybe\n")
-    with pytest.raises(MalformedFile):
+    message = ":1: label must be target or nontarget, got 'maybe'"
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path) + message)}$"):
         io.load_trials(path)
 
 
@@ -423,10 +424,12 @@ def test_scores_round_trip_exact(rng, tmp_path):
 def test_scores_reject_malformed(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("e\tt\n")
-    with pytest.raises(MalformedFile):
+    message = ":1: expected 3 tab-separated fields"
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path) + message)}$"):
         io.load_scores(path)
     path.write_text("e\tt\tabc\n")
-    with pytest.raises(MalformedFile):
+    message = ":1: bad score (could not convert string to float: 'abc')"
+    with pytest.raises(MalformedFile, match=f"^{re.escape(str(path) + message)}$"):
         io.load_scores(path)
 
 
@@ -469,6 +472,32 @@ def test_writers_reject_ids_the_loaders_misread(tmp_path, write, bad):
     with pytest.raises(MalformedFile, match=re.escape(f"id {bad!r} is empty or holds")):
         write(path, bad)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path: io.save_scores(path, [("a", "b"), ("c", "d")], [1.0]),
+         "1 scores for 2 trials"),
+        (lambda path: io.save_scores(path, [("a", "b")], np.zeros(2)), "2 scores for 1 trials"),
+        (lambda path: io.save_trials(path, [("a", "b"), ("c", "d")], labels=[True]),
+         "1 labels for 2 trials"),
+        (lambda path: io.save_trials(path, [("a", "b")], labels=[True, False]),
+         "2 labels for 1 trials"),
+    ],
+    ids=["few-scores", "many-scores", "few-labels", "many-labels"],
+)
+def test_writers_reject_counts_other_than_one_per_trial(tmp_path, write, message):
+    # checked before the file is opened: none is made, and one that
+    # exists keeps its bytes
+    path = tmp_path / "table.tsv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write(path)
+    assert not path.exists()
+    path.write_bytes(b"e\tt\t1.0\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write(path)
+    assert path.read_bytes() == b"e\tt\t1.0\n"
 
 
 def test_dataset_files_reload_consistently(rng, tmp_path):

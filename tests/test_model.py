@@ -14,9 +14,8 @@ from jplda import (
     ValidationFailed,
     collapse_to_plda,
     io,
-    stack_w,
 )
-from jplda.model import _lower_inverse
+from jplda.model import _lower_inverse, stack_w
 
 from conftest import random_model
 

@@ -239,7 +239,7 @@ def test_data_loglik_scalar_precision():
 
 def full_joint_logpdf(samples, latents, model):
     """Direct density of the joint Gaussian over (all latents, all samples)."""
-    from jplda import stack_w
+    from jplda.model import stack_w
 
     n_samples = latents.n_samples
     d = model.d

@@ -22,16 +22,15 @@ from jplda import (
     UnknownId,
     collapse_to_plda,
     enumerate_condition_hypotheses,
-    hypothesis_log_prior,
     io,
     llr,
     precompute_session,
-    q_term,
+    q_terms,
     score_trials,
     scoring,
-    stack_w,
 )
-from jplda.model import _lower_inverse
+from jplda.hypothesis import hypothesis_log_prior
+from jplda.model import _lower_inverse, stack_w
 from jplda.oracle import gaussian_llr_oracle, marginal_cov
 
 from conftest import random_model, random_priors
@@ -124,15 +123,21 @@ def test_session_counts_and_reconstruction(rng, factorizations, monkeypatch):
         assert levels == [(3 * 2**k, r, r) for k, r in enumerate((r_y,) + r_x)]
         assert sum(count for count, _, _ in levels) == 2 ** (n + 2) - 2 + 2 ** (n + 1) - 1
         m_e, m_t = rng.standard_normal((2, d))
-        for h in session.factorizations:
-            k = build_k_sum(gram(model), model, h)
-            sign, logdet = np.linalg.slogdet(k)
-            assert sign == 1.0
-            phi = compute_phi(session, h, m_e, m_t)
-            quad = phi @ np.linalg.solve(k, phi)
-            want = -0.5 * logdet + hypothesis_log_prior(h, priors) + 0.5 * quad
-            got = q_term(session, h.speaker_tied, h.condition_tied, m_e + model.mu, m_t + model.mu)
-            assert got == pytest.approx(want, rel=1e-10)
+        terms = q_terms(session, m_e + model.mu, m_t + model.mu).reshape(-1)
+        for h, got in zip(session.factorizations, terms, strict=True):
+            assert got == pytest.approx(reference_term(session, priors, h, m_e, m_t), rel=1e-10)
+
+
+def reference_term(session, priors, h, m_e, m_t):
+    """Hypothesis h's term for the centered trial (m_e, m_t), from the
+    log-determinant and quadratic form of its full posterior precision."""
+    model = session.model
+    k = build_k_sum(gram(model), model, h)
+    sign, logdet = np.linalg.slogdet(k)
+    assert sign == 1.0
+    phi = compute_phi(session, h, m_e, m_t)
+    quad = phi @ np.linalg.solve(k, phi)
+    return -0.5 * logdet + hypothesis_log_prior(h, priors) + 0.5 * quad
 
 
 def test_session_paths_list_each_hypothesis_nodes(rng):
@@ -302,24 +307,50 @@ def test_phi_scalar_values():
 # per-hypothesis terms ----------------------------------------------------
 
 
-def test_q_term_zero_prior_is_minus_inf(rng):
+def test_q_terms_zero_prior_is_minus_inf(rng):
     model = random_model(rng, 2, 1, (1,))
     session = precompute_session(model, PriorConfig((1.0,), (0.5,)))
-    assert q_term(session, True, (False,), model.mu, model.mu) == -math.inf
+    i = session.factorizations.index(HypothesisVector(True, (False,)))
+    assert q_terms(session, model.mu, model.mu).reshape(-1)[i] == -math.inf
 
 
-def test_q_term_zero_inputs_reduce_to_log_det(rng):
+def test_q_terms_zero_inputs_reduce_to_log_det(rng):
     model = random_model(rng, 3, 2, (1,))
     priors = random_priors(rng, 1)
     session = precompute_session(model, priors)
-    h = (True,)
-    i = session.factorizations.index(HypothesisVector(False, h))
-    want = session.half_log_det_sigma[i] + session.log_prior[i]
-    got = q_term(session, False, h, model.mu, model.mu)
-    assert got == pytest.approx(want, abs=1e-12)
+    want = session.half_log_det_sigma + session.log_prior
+    got = q_terms(session, model.mu, model.mu).reshape(-1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_q_term_matches_marginal_density_plus_offset(rng):
+@pytest.mark.parametrize("n", range(5))
+def test_q_terms_shape_and_order_follow_factorizations(rng, n):
+    # [branch, hypothesis]: row 0 the same-speaker branch, each row in
+    # enumerate_condition_hypotheses order, as session.factorizations;
+    # a prior of 1 on the first condition's tie in the same-speaker
+    # branch puts -inf where that branch unties it
+    model = random_model(rng, 4, 1, (1,) * n)
+    p_ss = tuple(rng.uniform(0.0, 1.0, size=n))
+    priors = PriorConfig((1.0,) + p_ss[1:] if n else (), tuple(rng.uniform(0.0, 1.0, size=n)))
+    session = precompute_session(model, priors)
+    m_e, m_t = rng.standard_normal((2, model.d))
+    got = q_terms(session, m_e + model.mu, m_t + model.mu)
+    assert got.shape == (2, 2**n)
+    assert np.isneginf(got).sum() == (2 ** (n - 1) if n else 0)
+    conds = enumerate_condition_hypotheses(n)
+    assert list(session.factorizations) == [
+        HypothesisVector(spk, c) for spk in (True, False) for c in conds
+    ]
+    for b, spk in enumerate((True, False)):
+        for j, c in enumerate(conds):
+            want = reference_term(session, priors, HypothesisVector(spk, c), m_e, m_t)
+            if want == -math.inf:
+                assert got[b, j] == -math.inf and spk and not c[0]
+            else:
+                assert got[b, j] == pytest.approx(want, rel=1e-10)
+
+
+def test_q_terms_match_marginal_density_plus_offset(rng):
     # the per-hypothesis term differs from the explicit pair marginal
     # log-density by the hypothesis-independent noise-only likelihood
     for _ in range(10):
@@ -335,70 +366,57 @@ def test_q_term_matches_marginal_density_plus_offset(rng):
             m_t, cov=noise_cov
         )
         pair = np.concatenate([m_e, m_t])
-        for spk in (True, False):
-            for cond in enumerate_condition_hypotheses(n):
-                h = HypothesisVector(spk, cond)
-                log_prior = hypothesis_log_prior(h, priors)
-                if log_prior == -math.inf:
-                    continue
-                want = (
-                    multivariate_normal.logpdf(pair, cov=marginal_cov(model, h))
-                    - offset
-                    + log_prior
-                )
-                got = q_term(session, spk, cond, m_e, m_t)
-                assert got == pytest.approx(want, abs=1e-8)
+        terms = q_terms(session, m_e, m_t).reshape(-1)
+        for h, got in zip(session.factorizations, terms, strict=True):
+            log_prior = hypothesis_log_prior(h, priors)
+            if log_prior == -math.inf:
+                continue
+            want = (
+                multivariate_normal.logpdf(pair, cov=marginal_cov(model, h))
+                - offset
+                + log_prior
+            )
+            assert got == pytest.approx(want, abs=1e-8)
 
 
-def test_q_term_log_sum_exp_equals_llr(rng):
-    # q_term reads the terms llr sums, so each branch's log-sum-exp of
-    # q_term reproduces llr up to the rounding of the log-sum-exp itself
+def test_q_terms_log_sum_exp_equals_llr(rng):
+    # q_terms are the terms llr sums, so each branch's log-sum-exp of
+    # q_terms reproduces llr up to the rounding of the log-sum-exp itself
     for n in range(4):
         for _ in range(5):
             r_x = tuple(int(r) for r in rng.integers(1, 3, size=n))
             model = random_model(rng, int(rng.integers(1, 6)), int(rng.integers(0, 3)), r_x)
             session = precompute_session(model, random_priors(rng, n))
             m_e, m_t = rng.standard_normal(model.d), rng.standard_normal(model.d)
-            terms = [
-                [q_term(session, spk, c, m_e, m_t) for c in enumerate_condition_hypotheses(n)]
-                for spk in (True, False)
-            ]
+            terms = q_terms(session, m_e, m_t)
             got = logsumexp(terms[0]) - logsumexp(terms[1])
             want = llr(session, m_e, m_t)
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("h", [(True,), (True, True, True)], ids=["short", "long"])
-def test_q_term_rejects_wrong_length_tie_vector(rng, h):
-    model = random_model(rng, 3, 1, (1, 2))
-    session = precompute_session(model, PriorConfig.uniform(2))
-    # the wrong-width enroll vector shows that the tie vector is checked first
-    with pytest.raises(DimensionMismatch, match=f"^tie vector has length {len(h)}, the model has 2 "):
-        q_term(session, True, h, np.zeros(4), model.mu)
-
-
-def test_q_term_overflow_raises_non_finite(rng):
+def test_q_terms_overflow_raises_non_finite(rng):
     # 1e200 embeddings overflow the whitened projections: the prior-1/2
-    # term would be +inf and the prior-0 term NaN
+    # terms would be +inf and the prior-0 terms NaN; the error names the
+    # first of them
     model = random_model(rng, 4, 2, (1, 2))
     session = precompute_session(model, PriorConfig((1.0, 0.5), (0.5, 0.5)))
     huge = np.full(4, 1e200)
-    for cond in ((True, True), (False, True)):
-        with pytest.raises(NonFinite, match="overflowed"):
-            q_term(session, True, cond, huge, huge)
+    first = re.escape(f"the term of {HypothesisVector(True, (True, True))} is inf: ")
+    with pytest.raises(NonFinite, match=f"^{first}.*overflowed$"):
+        q_terms(session, huge, huge)
 
 
-def test_q_term_rejects_non_finite_input(rng):
+def test_q_terms_rejects_non_finite_input(rng):
     session, enroll, _, _ = batch_setup(rng, 3)
     good = next(iter(enroll.values()))
     for bad in (np.nan, np.inf):
         vec = good.copy()
         vec[1] = bad
         with pytest.raises(NonFinite, match="enroll vector"):
-            q_term(session, True, (True, True), vec, good)
+            q_terms(session, vec, good)
         with pytest.raises(NonFinite, match="test vector"):
-            q_term(session, True, (True, True), good, vec)
+            q_terms(session, good, vec)
 
 
 # posterior moments -------------------------------------------------------
@@ -569,9 +587,8 @@ def test_llr_budget_misses_within_a_posteriori_bound(seed, case):
     # models that miss the a-priori one
     model, priors, m_e, m_t = budget_case(seed, case)
     session = precompute_session(model, priors)
-    terms = [q_term(session, h.speaker_tied, h.condition_tied, m_e, m_t)
-             for h in session.factorizations]
-    q_max = max(abs(q) for q in terms if math.isfinite(q))
+    terms = q_terms(session, m_e, m_t)
+    q_max = np.abs(terms[np.isfinite(terms)]).max()
     err = float(abs(llr(session, m_e, m_t) - mp_llr(model, priors, m_e, m_t)))
     assert err <= A_POSTERIORI_C * np.finfo(np.float64).eps * q_max
 
@@ -787,7 +804,7 @@ def test_wrong_width_names_the_input(rng, side):
     with pytest.raises(DimensionMismatch, match=match):
         llr(session, *args)
     with pytest.raises(DimensionMismatch, match=match):
-        q_term(session, True, (True, True), *args)
+        q_terms(session, *args)
 
 
 @pytest.mark.filterwarnings("error")

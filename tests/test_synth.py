@@ -9,9 +9,9 @@ from jplda import (
     make_benchmark,
     sample_dataset,
     sample_trial_pair,
-    sample_trial_pairs,
 )
 from jplda.oracle import marginal_cov
+from jplda.synth import sample_trial_pairs
 
 from conftest import random_model
 
