@@ -63,7 +63,8 @@ def _cmd_score(args) -> int:
     """Score a trial list. The session is built first, so that each table
     is read once into its projections (``scoring.ProjectedTable``), R_z
     floats per id, block by block as it is parsed: a session error is
-    reported before any table error."""
+    reported before any table error. The scores replace ``--out`` whole
+    (``io.save_scores``), so an error leaves it as it was."""
     model = io.load_model(args.model)
     priors = io.load_priors(args.priors)
     session = scoring.precompute_session(model, priors)

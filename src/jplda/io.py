@@ -7,6 +7,13 @@ string without a tab, LF or CR; the writers reject other ids, and
 labels or scores that do not number one per trial, before they open
 the file.
 
+Every writer streams its lines through ``_write``, which replaces the
+target whole: a writer that raises partway leaves the file as it was.
+A rewritten file is a new file (a new inode) with the old one's
+permission bits; a symlink is followed and stays a link. A target that
+exists but is not a regular file (``/dev/null``, ``/dev/stdout``) is
+written in place.
+
 Embedding tables are read once, in blocks of rows parsed by numpy's C
 reader; a block it might read differently from Python's ``float()``, or
 that holds a bad row, goes to a row parser, so values and errors are the
@@ -18,7 +25,9 @@ costs one pointer per repeat.
 
 import itertools
 import math
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -71,6 +80,42 @@ def _f64_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
+def _write(path, chunks, binary=False) -> None:
+    """Write the str chunks (bytes with ``binary``) to ``path``, replacing
+    what it held whole.
+
+    A symlink is resolved first, so the link stays a link. The chunks
+    stream into a new file beside the target, created exclusively under
+    a random name, so it clobbers nothing. Once every chunk is written it
+    takes an existing target's permission bits and replaces the target;
+    if anything raises first it is deleted. A target that exists but is
+    not a regular file (``/dev/null``) is written in place. An error
+    opening the file names ``path``.
+    """
+    mode, encoding = ("b", None) if binary else ("", "utf-8")
+    if os.path.exists(path) and not os.path.isfile(path):
+        target, new = None, path
+    else:
+        target = os.path.realpath(path)
+        head, tail = os.path.split(target)
+        new = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        f = open(new, ("x" if target else "w") + mode, encoding=encoding)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with f:
+            f.writelines(chunks)
+        if target:
+            if os.path.exists(target):
+                os.chmod(new, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(new, target)
+    except BaseException:
+        if target:
+            os.unlink(new)
+        raise
+
+
 def save_model(model: ModelParams, path) -> None:
     """Write the binary model file; payload floats are bit-exact on reload.
 
@@ -82,12 +127,8 @@ def save_model(model: ModelParams, path) -> None:
         "<4I", FORMAT_VERSION, model.d, model.r_y, model.n_conditions
     )
     header += struct.pack(f"<{model.n_conditions}I", *model.r_x)
-    payload = _f64_bytes(model.mu) + _f64_bytes(model.V)
-    for u in model.U:
-        payload += _f64_bytes(u)
-    payload += _f64_bytes(model.D)
-    with open(path, "wb") as f:
-        f.write(header + payload)
+    payload = map(_f64_bytes, (model.mu, model.V, *model.U, model.D))
+    _write(path, [header, *payload], binary=True)
 
 
 def load_model(path) -> ModelParams:
@@ -162,11 +203,13 @@ def save_embeddings(path, embeddings) -> None:
     the same text as ``_FLOAT_FMT`` per value in half the time.
     """
     _check_ids(path, embeddings)
-    with open(path, "w", encoding="utf-8") as f:
-        for name, vec in embeddings.items():
-            values = np.asarray(vec, dtype=np.float64).tolist()
-            row = "\t".join(["%.17g"] * len(values)) % tuple(values)
-            f.write(f"{name}\t{row}\n" if row else f"{name}\n")
+    _write(path, itertools.starmap(_embedding_row, embeddings.items()))
+
+
+def _embedding_row(name, vec) -> str:
+    values = np.asarray(vec, dtype=np.float64).tolist()
+    row = "\t".join(["%.17g"] * len(values)) % tuple(values)
+    return f"{name}\t{row}\n" if row else f"{name}\n"
 
 
 def load_embeddings(path, into=None):
@@ -268,12 +311,9 @@ def save_trials(path, trials, labels=None) -> None:
     if labels is not None and len(labels) != len(trials):
         raise ValueError(f"{len(labels)} labels for {len(trials)} trials")
     _check_ids(path, (i for pair in trials for i in pair))
-    with open(path, "w", encoding="utf-8") as f:
-        for i, (eid, tid) in enumerate(trials):
-            if labels is None:
-                f.write(f"{eid}\t{tid}\n")
-            else:
-                f.write(f"{eid}\t{tid}\t{'target' if labels[i] else 'nontarget'}\n")
+    ends = (itertools.repeat("\n") if labels is None
+            else ("\ttarget\n" if label else "\tnontarget\n" for label in labels))
+    _write(path, (f"{eid}\t{tid}{end}" for (eid, tid), end in zip(trials, ends)))
 
 
 def load_trials(path) -> list:
@@ -304,11 +344,10 @@ def load_trials(path) -> list:
 
 def save_priors(path, priors: PriorConfig) -> None:
     """Write one "condition.<j>.p_same_given_ss|ds = <p>" line per entry."""
-    with open(path, "w", encoding="utf-8") as f:
-        for j in range(priors.n_conditions):
-            for name in ("p_same_given_ss", "p_same_given_ds"):
-                p = getattr(priors, name)[j]
-                f.write(f"condition.{j + 1}.{name} = " + _FLOAT_FMT.format(p) + "\n")
+    _write(path, (f"condition.{j + 1}.{name} = "
+                  + _FLOAT_FMT.format(getattr(priors, name)[j]) + "\n"
+                  for j in range(priors.n_conditions)
+                  for name in ("p_same_given_ss", "p_same_given_ds")))
 
 
 def load_priors(path) -> PriorConfig:
@@ -360,9 +399,8 @@ def save_scores(path, trials, scores) -> None:
     if len(scores) != len(trials):
         raise ValueError(f"{len(scores)} scores for {len(trials)} trials")
     _check_ids(path, (i for pair in trials for i in pair))
-    with open(path, "w", encoding="utf-8") as f:
-        for (eid, tid), s in zip(trials, scores):
-            f.write(f"{eid}\t{tid}\t" + _FLOAT_FMT.format(float(s)) + "\n")
+    _write(path, (f"{eid}\t{tid}\t" + _FLOAT_FMT.format(float(s)) + "\n"
+                  for (eid, tid), s in zip(trials, scores)))
 
 
 def load_scores(path) -> list:
@@ -397,11 +435,8 @@ def save_dataset(prefix, dataset) -> dict:
         "conditions": f"{prefix}.cond.tsv",
     }
     save_embeddings(paths["embeddings"], dict(zip(dataset.ids, dataset.embeddings)))
-    with open(paths["speakers"], "w", encoding="utf-8") as f:
-        for name, spk in zip(dataset.ids, dataset.speaker_labels):
-            f.write(f"{name}\t{spk}\n")
-    with open(paths["conditions"], "w", encoding="utf-8") as f:
-        for i, name in enumerate(dataset.ids):
-            labels = "\t".join(str(c) for c in dataset.condition_labels[:, i])
-            f.write(f"{name}\t{labels}\n" if labels else f"{name}\n")
+    _write(paths["speakers"], (f"{name}\t{spk}\n"
+                               for name, spk in zip(dataset.ids, dataset.speaker_labels)))
+    _write(paths["conditions"], ("\t".join([name, *map(str, labels)]) + "\n"
+                                 for name, labels in zip(dataset.ids, dataset.condition_labels.T)))
     return paths

@@ -110,6 +110,24 @@ def test_score_empty_trials(pipeline, tmp_path):
     assert io.load_scores(pipeline["scores"]) == []
 
 
+def test_score_to_a_missing_directory_exits_1_and_creates_nothing(pipeline, tmp_path, capsys):
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "missing" / "scores.tsv"
+    assert run_score(dict(pipeline, scores=out)) == 1
+    assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_score_twice_to_one_out_leaves_one_file(pipeline, tmp_path):
+    out = tmp_path / "out" / "scores.tsv"
+    out.parent.mkdir()
+    assert run_score(dict(pipeline, scores=out)) == 0
+    first = out.read_bytes()
+    assert run_score(dict(pipeline, scores=out)) == 0
+    assert os.listdir(out.parent) == ["scores.tsv"]
+    assert out.read_bytes() == first
+
+
 def test_score_unknown_id(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad_trials.tsv"
     bad.write_text("whoami\tt000000\n")

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from jplda import (
     BadMagic,
     MalformedFile,
+    ModelParams,
     PriorConfig,
     TruncatedPayload,
     ValidationFailed,
@@ -500,6 +501,52 @@ def test_writers_reject_counts_other_than_one_per_trial(tmp_path, write, message
     assert path.read_bytes() == b"e\tt\t1.0\n"
 
 
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: io.save_scores(path, [("a", "b"), ("c", "d")], [1.0, "x"]),
+        lambda path: io.save_embeddings(path, {"a": [1.0], "b": ["x"]}),
+    ],
+    ids=["scores", "embeddings"],
+)
+def test_failed_write_leaves_the_old_file(tmp_path, write):
+    # the second value fails after the first row is written: no file is
+    # made, and one that exists keeps its bytes, with no other file left
+    path = tmp_path / "table.tsv"
+    with pytest.raises(ValueError):
+        write(path)
+    assert os.listdir(tmp_path) == []
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError):
+        write(path)
+    assert os.listdir(tmp_path) == ["table.tsv"]
+    assert path.read_bytes() == b"old\n"
+
+
+def test_write_to_a_device_is_in_place():
+    io.save_scores(os.devnull, [("a", "b")], [1.0])
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+def test_rewrite_keeps_permission_bits(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_bytes(b"old\n")
+    os.chmod(path, 0o640)
+    io.save_scores(path, [("a", "b")], [1.0])
+    assert path.read_bytes() == b"a\tb\t1\n"
+    assert oct(os.stat(path).st_mode & 0o777) == oct(0o640)
+
+
+def test_rewrite_through_a_symlink_keeps_the_link(tmp_path):
+    real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+    real.write_bytes(b"old\n")
+    link.symlink_to(real)
+    io.save_scores(link, [("a", "b")], [1.0])
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == b"a\tb\t1\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.tsv", "real.tsv"]
+
+
 def test_dataset_files_reload_consistently(rng, tmp_path):
     from jplda import sample_dataset
 
@@ -514,3 +561,60 @@ def test_dataset_files_reload_consistently(rng, tmp_path):
     assert len(spk_lines) == 6
     cond_lines = (tmp_path / "synth.cond.tsv").read_text().strip().split("\n")
     assert cond_lines[0].count("\t") == 1
+
+
+_GOLDEN_MODEL_BYTES = b"JPLDA\x00" + bytes.fromhex(
+    "01000000 02000000 01000000 01000000"  # version, d, R_y, N
+    "01000000"  # R_x1
+    "000000000000e03f 000000000000f0bf"  # mu
+    "000000000000f03f 000000000000d03f"  # V
+    "0000000000000000 0000000000000040"  # U_1
+    "000000000000f03f 0000000000000000 0000000000000000 0000000000000040"  # D
+)
+
+
+def _golden_dataset():
+    from jplda.synth import SyntheticDataset
+
+    return SyntheticDataset(embeddings=np.array([[0.5, -1.0], [2.0, 0.1]]),
+                            speaker_labels=np.array([0, 1]),
+                            condition_labels=np.array([[1, 0], [2, 3]]), ids=("x", "y"))
+
+
+# case: (write to path "out", {file name: bytes} of every file written)
+GOLDEN_WRITES = {
+    "model": (
+        lambda path: io.save_model(
+            ModelParams(mu=np.array([0.5, -1.0]), V=np.array([[1.0], [0.25]]),
+                        U=(np.array([[0.0], [2.0]]),), D=np.diag([1.0, 2.0])), path),
+        {"out": _GOLDEN_MODEL_BYTES}),
+    "embeddings": (
+        lambda path: io.save_embeddings(path, {"a": [0.1, -2.0], "b": np.array([1e-300, 3.0])}),
+        {"out": b"a\t0.10000000000000001\t-2\nb\t1e-300\t3\n"}),
+    "trials": (
+        lambda path: io.save_trials(path, [("a", "b"), ("c", "a")]),
+        {"out": b"a\tb\nc\ta\n"}),
+    "labeled-trials": (
+        lambda path: io.save_trials(path, [("a", "b"), ("c", "a")], labels=[True, False]),
+        {"out": b"a\tb\ttarget\nc\ta\tnontarget\n"}),
+    "priors": (
+        lambda path: io.save_priors(path, PriorConfig((0.8,), (0.25,))),
+        {"out": b"condition.1.p_same_given_ss = 0.80000000000000004\n"
+                b"condition.1.p_same_given_ds = 0.25\n"}),
+    "scores": (
+        lambda path: io.save_scores(path, [("a", "b"), ("c", "a")], np.array([1.5, -0.1])),
+        {"out": b"a\tb\t1.5\nc\ta\t-0.10000000000000001\n"}),
+    "dataset": (
+        lambda path: io.save_dataset(path, _golden_dataset()),
+        {"out.emb.tsv": b"x\t0.5\t-1\ny\t2\t0.10000000000000001\n",
+         "out.spk.tsv": b"x\t0\ny\t1\n",
+         "out.cond.tsv": b"x\t1\t2\ny\t0\t3\n"}),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_WRITES)
+def test_writers_write_their_golden_bytes(tmp_path, case):
+    # each writer's text, pinned byte for byte on fixed tiny inputs
+    write, expected = GOLDEN_WRITES[case]
+    write(str(tmp_path / "out"))
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == expected
