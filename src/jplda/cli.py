@@ -130,9 +130,7 @@ def _cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.trials_count):
-        h = HypothesisVector(
-            bool(rng.integers(2)), tuple(bool(b) for b in rng.integers(2, size=model.n_conditions))
-        )
+        h = HypothesisVector(rng.integers(2), tuple(rng.integers(2, size=model.n_conditions)))
         m_e, m_t = synth.sample_trial_pair(model, h, seed=int(rng.integers(2**63)))
         fast = scoring.llr(session, m_e, m_t)
         slow = oracle.gaussian_llr_oracle(model, priors, m_e, m_t)

@@ -7,8 +7,8 @@ class JpldaError(Exception):
 
 class DimensionMismatch(JpldaError):
     """Model matrices disagree on a shared dimension, an input vector's
-    length is not the model's dimension d, or a tie vector's length is not
-    the model's number of conditions N."""
+    length is not the model's dimension d, or a tie vector or priors do
+    not hold one entry per condition of the model's N."""
 
 
 class NonFinite(JpldaError):

@@ -130,6 +130,33 @@ class ModelParams:
         return self.r_y + sum(self.r_x)
 
 
+def _check_vector(model: ModelParams, what: str, shape: tuple, finite) -> None:
+    """Raise the error for an input vector of ``shape``, ``finite`` or not."""
+    if shape != (model.d,):
+        raise DimensionMismatch(f"{what} has shape {shape}, expected a vector of length {model.d}")
+    if not finite:
+        raise NonFinite(f"{what} contains non-finite values")
+
+
+def _checked_vector(model: ModelParams, m, what: str) -> np.ndarray:
+    """One raw vector as a float64 array, or the error that names it."""
+    m = np.asarray(m, dtype=np.float64)
+    _check_vector(model, what, m.shape, np.isfinite(m).all())
+    return m
+
+
+def _check_priors(model: ModelParams, priors) -> None:
+    if priors.n_conditions != model.n_conditions:
+        raise DimensionMismatch(f"priors cover {priors.n_conditions} conditions, "
+                                f"model has {model.n_conditions}")
+
+
+def _check_ties(model: ModelParams, h) -> None:
+    if len(h.condition_tied) != model.n_conditions:
+        raise DimensionMismatch(f"tie vector has length {len(h.condition_tied)}, "
+                                f"the model has {model.n_conditions} conditions")
+
+
 def _asymmetry(a: np.ndarray) -> float:
     """max |a - a^T|, from the lower triangle in blocks of _SYMMETRY_ROWS
     rows: a - a^T is exactly antisymmetric, and no temporary is larger

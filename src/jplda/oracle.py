@@ -1,11 +1,11 @@
 """Reference implementations that the fast scoring path is checked against.
 
 The tests, ``jplda check`` and the benchmark's score checker call them;
-``jplda score`` does not. Everything here evaluates densities directly
-on covariance matrices of the observed vectors, with full normalization
-constants and no use of the production precision-domain shortcuts. It
-is deliberately O(d^3) per hypothesis per trial: a slow, independent
-path to the same numbers.
+``jplda score`` does not. Everything here evaluates densities directly on
+covariance matrices of the observed vectors, with full normalization
+constants and no use of the production precision-domain shortcuts. It is
+deliberately O(d^3) per hypothesis per trial: a slow, independent path to
+the same numbers, which shares ``model``'s input checks but no scoring math.
 """
 
 import math
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, OrphanLatent
+from .errors import NonFinite, OrphanLatent
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior
-from .model import ModelParams, stack_w
+from .model import ModelParams, _check_priors, _check_ties, _checked_vector, stack_w
 
 __all__ = [
     "LabeledLatents",
@@ -126,20 +126,12 @@ def marginal_cov(model: ModelParams, h: HypothesisVector) -> np.ndarray:
     the outer products of the factors that h ties across the two sides.
     D^-1 is ``inv(D)``, symmetrized; for a diagonal D that is exactly
     diag(1 / diag D).
+
+    Raises:
+      DimensionMismatch: h does not hold one flag per condition.
     """
+    _check_ties(model, h)
     return _pair_cov(_cov_terms(model), h)
-
-
-def _checked_vector(model: ModelParams, m, what: str) -> np.ndarray:
-    """One raw vector, centered, or the error that names it."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (model.d,):
-        raise DimensionMismatch(
-            f"{what} has shape {m.shape}, expected a vector of length {model.d}"
-        )
-    if not np.isfinite(m).all():
-        raise NonFinite(f"{what} contains non-finite values")
-    return m - model.mu
 
 
 def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_test) -> float:
@@ -152,15 +144,14 @@ def gaussian_llr_oracle(model: ModelParams, priors: PriorConfig, m_enroll, m_tes
     ``PriorConfig`` gives every branch a hypothesis of nonzero prior.
 
     Raises:
-      DimensionMismatch: an input is not a vector of length d; the
-        message names the enroll or the test vector.
+      DimensionMismatch: the priors do not cover the model's conditions, or
+        an input is not a vector of length d, named enroll or test vector.
       NonFinite: an input holds a NaN or an infinity, or the pair's
         log-density overflowed.
     """
-    pair = np.concatenate([
-        _checked_vector(model, m_enroll, "enroll vector"),
-        _checked_vector(model, m_test, "test vector"),
-    ])
+    _check_priors(model, priors)
+    pair = np.concatenate([_checked_vector(model, m, f"{side} vector") - model.mu
+                           for side, m in (("enroll", m_enroll), ("test", m_test))])
 
     def branch(speaker_tied: bool) -> float:
         terms = []

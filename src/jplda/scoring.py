@@ -78,13 +78,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AllHypothesesExcluded, DimensionMismatch, FactorizationFailed, NonFinite, SessionTooLarge,
-    UnknownId,
+    AllHypothesesExcluded, FactorizationFailed, NonFinite, SessionTooLarge, UnknownId,
 )
 from .hypothesis import (
     HypothesisVector, PriorConfig, enumerate_condition_hypotheses, hypothesis_log_prior,
 )
-from .model import ModelParams, _lower_inverse, stack_w
+from .model import (
+    ModelParams, _check_priors, _check_vector, _checked_vector, _lower_inverse, stack_w,
+)
 
 __all__ = [
     "ScoringSession", "ProjectedTable", "precompute_session", "q_terms", "llr", "score_trials",
@@ -250,10 +251,7 @@ def precompute_session(model: ModelParams, priors: PriorConfig) -> ScoringSessio
         message names the first hypothesis, in session order, whose path
         holds a node that fails.
     """
-    if priors.n_conditions != model.n_conditions:
-        raise DimensionMismatch(
-            f"priors cover {priors.n_conditions} conditions, model has {model.n_conditions}"
-        )
+    _check_priors(model, priors)
     n_cond, r_z = model.n_conditions, model.r_z
     sizes = (model.r_y,) + model.r_x
     starts = (0, *itertools.accumulate(sizes))
@@ -444,23 +442,11 @@ def _score_block(session: ScoringSession, rows: np.ndarray) -> np.ndarray:
 _UNKNOWN = object()
 
 
-def _check(session: ScoringSession, what: str, shape: tuple, finite) -> None:
-    """Raise the error for a vector of ``shape`` that is ``finite`` or not."""
-    if shape != (session.model.d,):
-        raise DimensionMismatch(
-            f"{what} has shape {shape}, expected a vector of length {session.model.d}"
-        )
-    if not finite:
-        raise NonFinite(f"{what} contains non-finite values")
-
-
-def _checked_vector(session: ScoringSession, m, what: str) -> np.ndarray:
-    """One raw vector as a float64 array, or the error that names it."""
+def _checked_entry(session: ScoringSession, m, what: str) -> np.ndarray:
+    """``model._checked_vector`` of a looked-up raw vector, or ``UnknownId``."""
     if m is _UNKNOWN:
         raise UnknownId(f"unknown {what}")
-    m = np.asarray(m, dtype=np.float64)
-    _check(session, what, m.shape, np.isfinite(m).all())
-    return m
+    return _checked_vector(session.model, m, what)
 
 
 def _checked_stack(session: ScoringSession, vectors: list, name) -> np.ndarray:
@@ -478,7 +464,7 @@ def _checked_stack(session: ScoringSession, vectors: list, name) -> np.ndarray:
     except (ValueError, TypeError):
         x = None
     if x is None or x.shape != (len(padded), session.model.d) or not np.isfinite(x).all():
-        x = np.array([_checked_vector(session, m, name(k)) for k, m in enumerate(vectors)]
+        x = np.array([_checked_entry(session, m, name(k)) for k, m in enumerate(vectors)]
                      + padded[n:])
     return x
 
@@ -533,12 +519,9 @@ def q_terms(session: ScoringSession, m_enroll, m_test) -> np.ndarray:
     return q
 
 
-_SIDES = ("enroll", "test")
-
-
 def _what(side: bool, name) -> str:
     """How errors name the id ``name`` of a trial's enroll or test side."""
-    return f"{_SIDES[side]} id {name!r}"
+    return f"{('enroll', 'test')[side]} id {name!r}"
 
 
 class ProjectedTable:
@@ -603,7 +586,7 @@ class ProjectedTable:
         if row is None:
             raise UnknownId(f"unknown {_what(side, name)}")
         if not self._valid[row]:
-            _check(self.session, _what(side, name), (self.width,), False)
+            _check_vector(self.session.model, _what(side, name), (self.width,), False)
         b = bisect.bisect_right(self._starts, row) - 1
         return self._blocks[b][row - self._starts[b]]
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hypothesis import HypothesisVector, PriorConfig, enumerate_condition_hypotheses
-from .model import ModelParams
+from .model import ModelParams, _check_priors, _check_ties
 
 __all__ = [
     "SyntheticDataset",
@@ -147,12 +147,12 @@ def _pairs_from_rng(
 
 
 def sample_trial_pairs(model: ModelParams, h: HypothesisVector, n_pairs: int, seed: int = 0):
-    """n_pairs independent trials under one hypothesis; returns (ME, MT) matrices."""
-    if len(h.condition_tied) != model.n_conditions:
-        raise DimensionMismatch(
-            f"tie vector has length {len(h.condition_tied)}, "
-            f"the model has {model.n_conditions} conditions"
-        )
+    """n_pairs independent trials under one hypothesis; returns (ME, MT) matrices.
+
+    Raises:
+      DimensionMismatch: h does not hold one flag per condition.
+    """
+    _check_ties(model, h)
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
     return _pairs_from_rng(model, _noise_factor(model), h, n_pairs, np.random.default_rng(seed))
@@ -178,11 +178,11 @@ def make_benchmark(
       (embeddings, trials, key): a dict from id to raw embedding, a list
       of (enroll_id, test_id) pairs, and a boolean array marking the
       target trials.
+
+    Raises:
+      DimensionMismatch: the priors do not cover the model's conditions.
     """
-    if priors.n_conditions != model.n_conditions:
-        raise DimensionMismatch(
-            f"priors cover {priors.n_conditions} conditions, model has {model.n_conditions}"
-        )
+    _check_priors(model, priors)
     if n_target < 0 or n_nontarget < 0:
         raise ValueError("trial counts must be >= 0")
 

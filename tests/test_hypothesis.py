@@ -87,6 +87,16 @@ def test_prior_config_rejects_out_of_range():
         PriorConfig((0.5, 0.5), (0.5,))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_condition_hypotheses(-1), "n_conditions must be >= 0"),
+    (lambda: hypothesis_log_prior(HypothesisVector(True, (True, False)), PriorConfig.uniform(1)),
+     "hypothesis has 2 conditions, priors have 1"),
+], ids=["negative-count", "prior-length"])
+def test_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_partition_mixed(rng):
     model = random_model(rng, 4, 2, (1, 3))
     tied, untied = split_columns(model, HypothesisVector(True, (True, False)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,18 +200,43 @@ def test_prior_forms_agree_on_random_datasets(rng):
         )
 
 
-def test_orphan_latent_rejected():
-    latents = LabeledLatents(
-        y=np.array([[1.0], [2.0]]),
-        x=(),
-        speaker_idx=np.array([0, 0]),
-        cond_idx=np.zeros((0, 2)),
-    )
-    with pytest.raises(OrphanLatent):
+@pytest.mark.parametrize("y, x, cond_idx, message", [
+    (np.array([[1.0], [2.0]]), (), np.zeros((0, 2)), "a speaker latent has no samples assigned"),
+    (np.ones((1, 1)), (np.ones((1, 1)), np.ones((2, 1))), np.array([[0, 0], [1, 1]]),
+     "a condition-2 latent has no samples assigned"),
+], ids=["speaker", "condition"])
+def test_orphan_latent_rejected(y, x, cond_idx, message):
+    latents = LabeledLatents(y=y, x=x, speaker_idx=np.array([0, 0]), cond_idx=cond_idx)
+    with pytest.raises(OrphanLatent, match=f"^{message}$"):
         per_sample_prior_logpdf(latents)
 
 
+LATENTS = dict(y=np.zeros((2, 1)), x=(np.zeros((2, 1)),), speaker_idx=[0, 1], cond_idx=[[0, 1]])
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(y=np.zeros(2)), "latent arrays must be 2-dimensional (one row per latent)"),
+    (dict(speaker_idx=[[0, 1]]), "speaker_idx must be 1-dimensional"),
+    (dict(cond_idx=[[0, 1, 0]]), "cond_idx must have shape (N=1, I=2), got (1, 3)"),
+    (dict(speaker_idx=[0, 2]), "speaker_idx references a nonexistent speaker latent"),
+    (dict(cond_idx=[[0, -1]]), "cond_idx[0] references a nonexistent condition latent"),
+], ids=["rank", "speaker-rank", "cond-shape", "speaker-label", "cond-label"])
+def test_labeled_latents_rejects_bad_arrays(change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LabeledLatents(**{**LATENTS, **change})
+
+
 # data likelihood ---------------------------------------------------------
+
+
+def test_data_loglik_rejects_mismatched_shapes(rng):
+    model = random_model(rng, 3, 1, (1,))
+    latents = LabeledLatents(**LATENTS)
+    with pytest.raises(ValueError, match=r"^samples have shape \(2, 4\), expected \(2, 3\)$"):
+        data_loglik(np.zeros((2, 4)), latents, model)
+    wide = LabeledLatents(**{**LATENTS, "y": np.zeros((2, 2))})
+    with pytest.raises(ValueError, match=r"^latents stack to length 3, model has R_z = 2$"):
+        data_loglik(np.zeros((2, 3)), wide, model)
 
 
 def test_data_loglik_zero_residual_identity_noise(rng):

@@ -488,13 +488,14 @@ def test_llr_swap_symmetry(rng):
 
 def test_llr_matches_oracle(rng):
     model = random_model(rng, 2, 1, (1,))
-    priors = random_priors(rng, 1)
-    session = precompute_session(model, priors)
-    for _ in range(20):
-        m_e, m_t = rng.standard_normal(2), rng.standard_normal(2)
-        got = llr(session, m_e, m_t)
-        want = gaussian_llr_oracle(model, priors, m_e, m_t)
-        assert got == pytest.approx(want, abs=1e-8)
+    # random priors, then priors of exactly 0 and 1: both paths skip the zero-prior hypotheses
+    for priors in (random_priors(rng, 1), PriorConfig((1.0,), (0.0,))):
+        session = precompute_session(model, priors)
+        for _ in range(20):
+            m_e, m_t = rng.standard_normal(2), rng.standard_normal(2)
+            got = llr(session, m_e, m_t)
+            want = gaussian_llr_oracle(model, priors, m_e, m_t)
+            assert got == pytest.approx(want, abs=1e-8)
 
 
 def conditioned_model(rng, d, r_y, r_x, cond):

@@ -53,6 +53,19 @@ def test_dataset_rejects_bad_counts(rng):
         sample_dataset(model, 2, (2, 2), 3, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda model: sample_dataset(model, 2, (2,), 3, assignment="sorted"),
+     "unknown assignment mode 'sorted'"),
+    (lambda model: sample_trial_pairs(model, HypothesisVector(True, (True,)), -1),
+     "n_pairs must be >= 0"),
+    (lambda model: make_benchmark(model, PriorConfig.uniform(1), 2, -1),
+     "trial counts must be >= 0"),
+], ids=["assignment", "pair-count", "trial-count"])
+def test_rejects_bad_arguments(rng, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(random_model(rng, 2, 1, (2,)))
+
+
 def test_dataset_covariance_converges(rng):
     # many speakers and condition labels so every latent family averages out
     model = random_model(rng, 3, 2, (1, 2), diagonal_noise=True, centered=True)
